@@ -8,10 +8,10 @@ all four joining edges; this script prints every intermediate step.
 """
 
 from quartetmerge import (
-    ExactOracle,
     GroundTruth,
     JoiningConfig,
     LogicalTree,
+    Oracle,
     enumerate_valid_configs,
     run_rea,
 )
@@ -36,7 +36,7 @@ for u, v, lab in tree.edges():
 print(f"\nhidden joining map: {dict(truth.joins)}")
 print(f"valid joining maps on this tree: {len(enumerate_valid_configs(tree))}")
 
-result = run_rea(tree, ExactOracle(GroundTruth(tree, truth)))
+result = run_rea(tree, Oracle(GroundTruth(tree, truth)))
 
 print(f"\nreceiver elimination, {result.queries_used} queries:")
 for k, step in enumerate(result.trace.steps, start=1):

@@ -7,7 +7,7 @@ the per-query majority drives the effective error rate down; this script
 measures end-to-end recovery accuracy as the repeat count grows.
 """
 
-from quartetmerge import GroundTruth, NoiseSpec, make_oracle, make_tree, random_config, run_rea
+from quartetmerge import GroundTruth, NoiseSpec, Oracle, make_tree, random_config, run_rea
 
 RUNS = 400
 tree = make_tree("perfect_binary", 8)
@@ -20,7 +20,7 @@ for p in (0.05, 0.10, 0.20):
         probes = 0
         for k in range(RUNS):
             config = random_config(tree, k)
-            oracle = make_oracle(
+            oracle = Oracle(
                 GroundTruth(tree, config),
                 NoiseSpec(p=p, repeats=repeats, seed=1000 * repeats + k),
             )

@@ -32,18 +32,8 @@ from .exhaustive import (
     min_quartets,
     min_quartets_all,
 )
-from .gbs import (
-    BenefitQuad,
-    CandidateState,
-    GbsTrace,
-    SearchStep,
-    apply_update,
-    compute_benefits,
-    run_gbs,
-    select_quartet,
-)
+from .gbs import GbsTrace, SearchStep, run_gbs
 from .generators import (
-    GeneratorSpec,
     make_tree,
     perfect_binary,
     perfect_ternary,
@@ -52,16 +42,8 @@ from .generators import (
     tall_binary,
 )
 from .multisource import MultiResult, run_multi
-from .oracle import (
-    ExactOracle,
-    MajorityVoteOracle,
-    NoiseSpec,
-    NoisyOracle,
-    OracleAnswer,
-    OracleStats,
-    make_oracle,
-)
-from .rea import ReaTrace, SurgeryStep, WorkingTree, pick_siblings, run_rea
+from .oracle import ExactOracle, NoiseSpec, Oracle, OracleAnswer, OracleStats
+from .rea import ReaTrace, SurgeryStep, run_rea
 from .results import InferenceResult
 from .sweep import (
     ALGORITHMS,
@@ -82,7 +64,6 @@ from .topology import (
     JoiningConfig,
     LogicalTree,
     QuartetType,
-    RootPath,
     is_valid_config,
     quartet_type,
 )
@@ -92,11 +73,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "BadSpec",
-    "BenefitQuad",
-    "CandidateState",
     "ExactOracle",
     "GbsTrace",
-    "GeneratorSpec",
     "GroundTruth",
     "InconsistentAnswer",
     "InferenceResult",
@@ -105,18 +83,16 @@ __all__ = [
     "InvalidTree",
     "JoiningConfig",
     "LogicalTree",
-    "MajorityVoteOracle",
     "MisplacedJoin",
     "MultiResult",
     "NoiseSpec",
-    "NoisyOracle",
+    "Oracle",
     "OracleAnswer",
     "OracleStats",
     "ParseError",
     "QuartetMergeError",
     "QuartetType",
     "ReaTrace",
-    "RootPath",
     "SameReceiver",
     "SearchStep",
     "Stalled",
@@ -126,16 +102,12 @@ __all__ = [
     "SweepSummary",
     "TooLarge",
     "UnknownReceiver",
-    "WorkingTree",
     "all_pairs",
     "answer_set",
-    "apply_update",
-    "compute_benefits",
     "enumerate_valid_configs",
     "identifies",
     "is_valid_config",
     "lower_bound",
-    "make_oracle",
     "make_tree",
     "min_identifying_set",
     "min_quartets",
@@ -144,14 +116,12 @@ __all__ = [
     "parse_topology_file",
     "perfect_binary",
     "perfect_ternary",
-    "pick_siblings",
     "quartet_type",
     "random_config",
     "run_gbs",
     "run_multi",
     "run_rea",
     "run_sweep",
-    "select_quartet",
     "serialize_topology",
     "star",
     "summarize",

@@ -22,7 +22,7 @@ from .exhaustive import (
 )
 from .generators import make_tree, random_config
 from .multisource import run_multi
-from .oracle import NoiseSpec, make_oracle
+from .oracle import NoiseSpec, Oracle
 from .sweep import ALGORITHMS, run_algorithm, run_sweep, summarize, write_csv
 from .topofile import parse_topology_file, serialize_topology, write_topology_file
 from .topology import GroundTruth
@@ -37,9 +37,7 @@ def _add_noise_args(p: argparse.ArgumentParser) -> None:
                    help="seed for the noise stream (default 0)")
 
 
-def _noise_from(args) -> NoiseSpec | None:
-    if args.noise_p == 0.0 and args.repeats == 1:
-        return None
+def _noise_from(args) -> NoiseSpec:
     return NoiseSpec(p=args.noise_p, repeats=args.repeats, seed=args.noise_seed)
 
 
@@ -112,7 +110,7 @@ def _cmd_infer(args) -> int:
               file=sys.stderr)
         return 2
     gt = GroundTruth(tree, config)
-    oracle = make_oracle(gt, _noise_from(args))
+    oracle = Oracle(gt, _noise_from(args))
     result = run_algorithm(args.alg, tree, oracle,
                            propagate_equalities=args.propagate_equalities)
     for r in tree.receivers:

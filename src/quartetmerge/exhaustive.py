@@ -80,7 +80,7 @@ def enumerate_valid_configs(
         raise TooLarge(f"{raw} raw combinations exceed the cap {max_raw}")
 
     receivers = tree.receivers
-    paths = [tree.root_path(r).edges for r in receivers]
+    paths = [tree.root_path(r) for r in receivers]
     scan = PlacementScan(tree)
     out: list[JoiningConfig] = []
     chosen: list[str] = []

@@ -7,10 +7,10 @@ names.  The next pair to query is the one minimizing the worst-case
 surviving fraction of candidates over the four possible answers, with the
 benefit ratios of one pair sharing a denominator |P_i||P_j|.
 
-Selection arithmetic is exact.  The public compute_benefits returns
-Fractions; the selection loop compares num/den in float64, which is exact
-here because distinct rationals with numerator and denominator below 2**26
-cannot collide in double precision (root paths are far shorter than that).
+Selection arithmetic is exact.  The selection loop compares num/den in
+float64, which is exact here because distinct rationals with numerator and
+denominator below 2**26 cannot collide in double precision (root paths are
+far shorter than that).
 
 Type-1 answers assert that two joins coincide.  By default that equality
 is not folded back into the intervals; ``propagate_equalities`` links the
@@ -20,7 +20,6 @@ two receivers so that later shrinks of one narrow the other as well.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,20 +27,6 @@ from .errors import InconsistentAnswer, InsufficientReceivers, Stalled
 from .oracle import Pair
 from .results import InferenceResult
 from .topology import JoiningConfig, LogicalTree, QuartetType
-
-
-@dataclass(frozen=True)
-class BenefitQuad:
-    """Surviving-fraction ratios of the four answers for one pair."""
-
-    t1: Fraction
-    t2: Fraction
-    t3: Fraction
-    t4: Fraction
-
-    @property
-    def worst_case(self) -> Fraction:
-        return max(self.t1, self.t2, self.t3, self.t4)
 
 
 @dataclass(frozen=True)
@@ -136,35 +121,6 @@ class CandidateState:
         self._members[ri].extend(self._members.pop(rj))
 
 
-def compute_benefits(state: CandidateState, ri: str, rj: str) -> BenefitQuad:
-    """Exact benefit ratios for the index-ordered pair (ri, rj).
-
-    ``t1`` is |up_i| / (|P_i||P_j|): a type-1 answer collapses the pair to
-    the shared prefix where the two joins coincide, so a single factor
-    counts the surviving candidates.
-    """
-    tree = state.tree
-    i = tree.receiver_index(ri)
-    j = tree.receiver_index(rj)
-    if i > j:
-        i, j = j, i
-        ri, rj = rj, ri
-    d = tree.lca_depth(ri, rj)
-    loi, hii = int(state.lo[i]), int(state.hi[i])
-    loj, hij = int(state.lo[j]), int(state.hi[j])
-    up_i = max(0, min(hii, d) - loi + 1)
-    dn_i = max(0, hii - max(loi - 1, d))
-    up_j = max(0, min(hij, d) - loj + 1)
-    dn_j = max(0, hij - max(loj - 1, d))
-    den = (hii - loi + 1) * (hij - loj + 1)
-    return BenefitQuad(
-        t1=Fraction(up_i, den),
-        t2=Fraction(up_i * dn_j, den),
-        t3=Fraction(dn_i * up_j, den),
-        t4=Fraction(dn_i * dn_j, den),
-    )
-
-
 def select_quartet(state: CandidateState) -> Pair | None:
     """Eligible pair with the minimum worst-case surviving fraction.
 
@@ -200,6 +156,8 @@ def select_quartet(state: CandidateState) -> Pair | None:
     dn_i = np.clip(hii - np.maximum(loi - 1, d), 0, None)
     up_j = np.clip(np.minimum(hij, d) - loj + 1, 0, None)
     dn_j = np.clip(hij - np.maximum(loj - 1, d), 0, None)
+    # a type-1 answer puts both joins on one shared-prefix edge, so up_i
+    # alone counts its surviving candidate pairs
     num = np.maximum.reduce([up_i, up_i * dn_j, dn_i * up_j, dn_i * dn_j])
     wc = np.where(eligible, num / (si * sj), np.inf)
     k = int(np.argmin(wc))

@@ -10,19 +10,9 @@ built tree equals the index order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import BadSpec
 from .topology import JoiningConfig, LogicalTree, PlacementScan, _NearestBlockers
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Shape name plus receiver count, as used by the CLI and sweeps."""
-
-    shape: str
-    size: int
-    seed: int | None = None
 
 
 def star(n: int) -> LogicalTree:
@@ -147,38 +137,20 @@ def random_config(tree: LogicalTree, seed: int) -> JoiningConfig:
     rng = random.Random(seed)
     tree._ensure_lca()
     depth = tree._depth
+    # When index order is the planar leaf order, the nearest-blocker stack
+    # answers the same constraints as the full scan in O(1) each.
+    scan = _NearestBlockers(tree) if tree._planar else PlacementScan(tree)
     chosen_depth: dict[str, int] = {}
-    if tree._planar:
-        # Index order is the planar leaf order, so the nearest-blocker
-        # stack answers the same constraints as a full scan in O(1) each.
-        blockers = _NearestBlockers()
-        adj = tree._adj_list
-        last = tree.n_receivers - 1
-        for t, r in enumerate(tree.receivers):
-            path_len = depth[r]
-            blocked, exception = blockers.constraint()
-            n_choices = path_len - blocked + (1 if exception is not None else 0)
-            pick = rng.randrange(n_choices)
-            if exception is not None and pick == n_choices - 1:
-                cd = exception
-            else:
-                cd = blocked + 1 + pick
-            chosen_depth[r] = cd
-            if t < last:
-                blockers.advance(cd, adj[t])
-    else:
-        scan = PlacementScan(tree)
-        for r in tree.receivers:
-            path_len = depth[r]
-            blocked, exception = scan.allowed(r)
-            n_choices = path_len - blocked + (1 if exception is not None else 0)
-            pick = rng.randrange(n_choices)
-            if exception is not None and pick == n_choices - 1:
-                cd = exception
-            else:
-                cd = blocked + 1 + pick
-            chosen_depth[r] = cd
-            scan.place(r, cd)
+    for r in tree.receivers:
+        blocked, exception = scan.allowed(r)
+        n_choices = depth[r] - blocked + (1 if exception is not None else 0)
+        pick = rng.randrange(n_choices)
+        if exception is not None and pick == n_choices - 1:
+            cd = exception
+        else:
+            cd = blocked + 1 + pick
+        chosen_depth[r] = cd
+        scan.place(r, cd)
 
     # Resolve chosen depths to edge labels by replaying the preorder: the
     # edge at depth d overwrites slot d-1 of the current root path.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .oracle import NoiseSpec, make_oracle
+from .oracle import NoiseSpec, Oracle
 from .results import InferenceResult
 from .sweep import run_algorithm
 from .topology import GroundTruth, JoiningConfig, LogicalTree
@@ -51,7 +51,7 @@ def run_multi(
         src_noise = noise
         if noise is not None:
             src_noise = replace(noise, seed=noise.seed + k)
-        oracle = make_oracle(gt, src_noise)
+        oracle = Oracle(gt, src_noise)
         results.append(
             run_algorithm(
                 algorithm, tree, oracle, propagate_equalities=propagate_equalities

@@ -1,15 +1,15 @@
-"""Quartet oracles: exact answers, independent noise, and majority vote.
+"""The quartet oracle: exact answers, or noisy ones resolved by majority vote.
 
-All oracles normalize a receiver pair to ascending index order before
-answering, so callers may pass the pair either way round.  Every oracle
-keeps an OracleStats; inference code reads query budgets from it instead
-of counting on its own.
+The oracle normalizes a receiver pair to ascending index order before
+answering, so callers may pass the pair either way round.  It keeps an
+OracleStats; inference code reads query budgets from it instead of
+counting on its own.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadSpec
 from .topology import GroundTruth, QuartetType, quartet_type
@@ -19,7 +19,7 @@ Pair = tuple[str, str]
 
 @dataclass
 class OracleStats:
-    """Probe and query counters, per pair and in total.
+    """Probe and query counters.
 
     ``total_queries`` counts probes at the oracle, so a majority vote of
     r sub-probes adds r.  ``quartet_queries`` counts logical quartet
@@ -28,16 +28,6 @@ class OracleStats:
 
     total_queries: int = 0
     quartet_queries: int = 0
-    per_pair_counts: dict[Pair, int] = field(default_factory=dict)
-
-    @property
-    def distinct_pairs(self) -> int:
-        return len(self.per_pair_counts)
-
-    def record(self, pair: Pair, probes: int) -> None:
-        self.total_queries += probes
-        self.quartet_queries += 1
-        self.per_pair_counts[pair] = self.per_pair_counts.get(pair, 0) + probes
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,40 +59,23 @@ class NoiseSpec:
             raise BadSpec(f"repeats must be odd and positive, got {self.repeats}")
 
 
-class ExactOracle:
-    """Answers quartet queries directly from the ground truth."""
+class Oracle:
+    """Answers quartet queries from the ground truth, under optional noise.
 
-    def __init__(self, gt: GroundTruth):
-        self.gt = gt
-        self.stats = OracleStats()
-
-    def _normalize(self, ri: str, rj: str) -> Pair:
-        tree = self.gt.tree
-        if tree.receiver_index(ri) > tree.receiver_index(rj):
-            ri, rj = rj, ri
-        return ri, rj
-
-    def _answer(self, pair: Pair) -> QuartetType:
-        return quartet_type(self.gt, pair[0], pair[1])
-
-    def query(self, ri: str, rj: str) -> OracleAnswer:
-        pair = self._normalize(ri, rj)
-        qtype = self._answer(pair)
-        self.stats.record(pair, 1)
-        return OracleAnswer(pair=pair, qtype=qtype)
-
-
-class NoisyOracle(ExactOracle):
-    """Exact oracle with independent per-query substitution noise.
-
-    Deterministic for a fixed seed and query sequence.  With p = 0 the
-    answers coincide with ExactOracle's bit for bit.
+    Without noise, or with p = 0, answers are exact and no random numbers
+    are drawn.  With p > 0 each query takes ``repeats`` independently
+    corrupted sub-probes and returns the modal answer; the random stream
+    is fixed by the noise seed and the query sequence.  Every query costs
+    ``repeats`` probes and one logical quartet in the stats.
     """
 
-    def __init__(self, gt: GroundTruth, noise: NoiseSpec):
-        super().__init__(gt)
+    def __init__(self, gt: GroundTruth, noise: NoiseSpec | None = None):
+        self.gt = gt
         self.noise = noise
-        self._rng = random.Random(noise.seed)
+        self.stats = OracleStats()
+        self._probes = 1 if noise is None else noise.repeats
+        noisy = noise is not None and noise.p > 0
+        self._rng = random.Random(noise.seed) if noisy else None
 
     def _corrupt(self, true_type: QuartetType) -> QuartetType:
         if self._rng.random() < self.noise.p:
@@ -111,36 +84,22 @@ class NoisyOracle(ExactOracle):
         return true_type
 
     def query(self, ri: str, rj: str) -> OracleAnswer:
-        pair = self._normalize(ri, rj)
-        qtype = self._corrupt(self._answer(pair))
-        self.stats.record(pair, 1)
-        return OracleAnswer(pair=pair, qtype=qtype)
+        tree = self.gt.tree
+        if tree.receiver_index(ri) > tree.receiver_index(rj):
+            ri, rj = rj, ri
+        qtype = quartet_type(self.gt, ri, rj)
+        if self._rng is not None:
+            votes = [0, 0, 0, 0]
+            for _ in range(self._probes):
+                votes[self._corrupt(qtype) - 1] += 1
+            # index() finds the lowest type among tied maxima
+            qtype = QuartetType(votes.index(max(votes)) + 1)
+        stats = self.stats
+        stats.total_queries += self._probes
+        stats.quartet_queries += 1
+        return OracleAnswer(pair=(ri, rj), qtype=qtype)
 
 
-class MajorityVoteOracle(NoisyOracle):
-    """Noise mitigation by repeating each query and taking the modal answer.
-
-    Each query costs ``repeats`` probes at the oracle but one logical
-    quartet; both counts land in the stats.
-    """
-
-    def query(self, ri: str, rj: str) -> OracleAnswer:
-        pair = self._normalize(ri, rj)
-        true_type = self._answer(pair)
-        votes = [0, 0, 0, 0]
-        for _ in range(self.noise.repeats):
-            votes[self._corrupt(true_type) - 1] += 1
-        best = max(votes)
-        # index() finds the lowest type among tied maxima
-        qtype = QuartetType(votes.index(best) + 1)
-        self.stats.record(pair, self.noise.repeats)
-        return OracleAnswer(pair=pair, qtype=qtype)
-
-
-def make_oracle(gt: GroundTruth, noise: NoiseSpec | None = None):
-    """Pick the cheapest oracle that realizes the noise spec."""
-    if noise is None or noise.p == 0.0 and noise.repeats == 1:
-        return ExactOracle(gt)
-    if noise.repeats == 1:
-        return NoisyOracle(gt, noise)
-    return MajorityVoteOracle(gt, noise)
+# without a NoiseSpec the oracle is exact; callers that build one for
+# exact answers may say so by name
+ExactOracle = Oracle

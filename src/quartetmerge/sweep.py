@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import QuartetMergeError
+from .exhaustive import lower_bound
 from .gbs import run_gbs
 from .generators import make_tree, random_config
-from .oracle import NoiseSpec, make_oracle
+from .oracle import NoiseSpec, Oracle
 from .rea import run_rea
 from .topology import GroundTruth, LogicalTree
 
@@ -101,7 +102,7 @@ def run_sweep(
     for shape in shapes:
         for n in sizes:
             tree = make_tree(shape, n)
-            bound = (tree.n_receivers + 1) // 2
+            bound = lower_bound(tree.n_receivers)
             for name in algorithms:
                 for k in range(realizations):
                     seed = realization_seed(base_seed, shape, n, k)
@@ -110,7 +111,7 @@ def run_sweep(
                     row_noise = noise
                     if noise is not None:
                         row_noise = replace(noise, seed=noise.seed ^ seed)
-                    oracle = make_oracle(gt, row_noise)
+                    oracle = Oracle(gt, row_noise)
                     start = time.perf_counter()
                     try:
                         result = run_algorithm(

@@ -49,23 +49,6 @@ class QuartetType(IntEnum):
 
 
 @dataclass(frozen=True)
-class RootPath:
-    """Ordered edge labels from the root down to one receiver."""
-
-    receiver: str
-    edges: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.edges)
-
-    def __getitem__(self, i):
-        return self.edges[i]
-
-
-@dataclass(frozen=True)
 class JoiningConfig:
     """One joining edge per receiver, keyed by receiver name."""
 
@@ -232,23 +215,6 @@ class LogicalTree:
         except KeyError:
             raise UnknownReceiver(f"unknown receiver {r!r}") from None
 
-    def parent(self, node: str) -> str | None:
-        return self._parent.get(node)
-
-    def children(self, node: str) -> tuple[str, ...]:
-        return self._children[node]
-
-    def nodes(self) -> tuple[str, ...]:
-        """All nodes, the root first; siblings are listed together, and the
-        sweep descends into the last child listed first."""
-        out = [self.root]
-        stack = [self.root]
-        while stack:
-            cs = self._children[stack.pop()]
-            out.extend(cs)
-            stack.extend(cs)
-        return tuple(out)
-
     def edges(self) -> tuple[tuple[str, str, str], ...]:
         """Edges as (parent, child, label) in depth-first preorder."""
         parent, labels = self._parent, self._labels
@@ -267,21 +233,12 @@ class LogicalTree:
         except KeyError:
             raise InvalidTree(f"no edge labelled {label!r}") from None
 
-    def edge_endpoints(self, label: str) -> tuple[str, str]:
-        v = self._edge_child(label)
-        return self._parent[v], v
-
     def edge_depth(self, label: str) -> int:
         """Depth of the edge's child endpoint."""
         return self._depth[self._edge_child(label)]
 
     def node_depth(self, node: str) -> int:
         return self._depth[node]
-
-    def label_of(self, u: str, v: str) -> str:
-        if self._parent.get(v) != u:
-            raise KeyError((u, v))
-        return self._labels[v]
 
     # -- paths and ancestry ----------------------------------------------
 
@@ -294,10 +251,10 @@ class LogicalTree:
         out.reverse()
         return tuple(out)
 
-    def root_path(self, r: str) -> RootPath:
+    def root_path(self, r: str) -> tuple[str, ...]:
         """Edge labels from the root down to receiver ``r``."""
         self.receiver_index(r)
-        return RootPath(receiver=r, edges=self._label_path(r))
+        return self._label_path(r)
 
     def _ensure_lca(self) -> None:
         if self._leaf_pos is not None:
@@ -435,7 +392,7 @@ class LogicalTree:
 
 
 class PlacementScan:
-    """Incremental pairwise-validity tracking over receivers in index order.
+    """Incremental pairwise-validity tracking over receivers in any order.
 
     Placing joins one receiver at a time, the edges still allowed for the
     next receiver form a contiguous suffix of its root path (every edge
@@ -445,8 +402,14 @@ class PlacementScan:
 
     A receiver j blocks i exactly when j's join lies on the shared prefix
     of i and j.  Among blockers on one side of i in planar leaf order the
-    nearest one has the deepest branching point, so a short outward scan
-    per side finds the constraint; typical cost is O(1) per receiver.
+    nearest one has the deepest branching point, so an outward scan per
+    side finds the constraint.  The scan steps over every placed receiver
+    between i and that blocker, blocking or not, so its cost grows with
+    the number of such receivers: on a shuffled caterpillar it averages
+    about 50 steps per call at 10 000 receivers and about 100 at 40 000.
+    Only _NearestBlockers, which needs placements in planar order, is
+    amortized O(1) per receiver.  Both offer allowed(r) and place(r,
+    depth), so samplers and checks drive either one the same way.
     """
 
     def __init__(self, tree: LogicalTree):
@@ -512,33 +475,44 @@ class _NearestBlockers:
 
     Gives the same (blocked, exception) answers as PlacementScan.allowed
     when placements follow the planar leaf order (the successor side is
-    then always empty) but in amortized O(1) per leaf.  Once the branch
-    depth separating a placed receiver from the frontier drops below its
-    join depth, that receiver can never block again and is dropped, so a
-    stack of (branch_depth, join_depth) pairs with branch depths strictly
-    increasing toward the top carries the whole state.  Receivers merged
-    by a shared capped branch depth always hold equal join depths in a
-    valid prefix, so keeping one entry per depth loses nothing.
+    then always empty) but in amortized O(1) per leaf.  The receiver
+    arguments are not read: the t-th placement is the t-th leaf.  Once
+    the branch depth separating a placed receiver from the frontier drops
+    below its join depth, that receiver can never block again and is
+    dropped, so a stack of (branch_depth, join_depth) pairs with branch
+    depths strictly increasing toward the top carries the whole state.
+    Receivers merged by a shared capped branch depth always hold equal
+    join depths in a valid prefix, so keeping one entry per depth loses
+    nothing.
     """
 
-    __slots__ = ("_branch", "_cd")
+    __slots__ = ("_adj", "_placed", "_branch", "_cd")
 
-    def __init__(self):
+    def __init__(self, tree: LogicalTree):
+        tree._ensure_lca()
+        self._adj = tree._adj_list
+        self._placed = 0
         self._branch: list[int] = []
         self._cd: list[int] = []
 
-    def constraint(self) -> tuple[int, int | None]:
+    def allowed(self, r: str) -> tuple[int, int | None]:
         """(blocked_depth, exception_depth_or_None) for the next leaf."""
         if not self._branch:
             return 0, None
         return self._branch[-1], self._cd[-1]
 
-    def advance(self, join_depth: int, boundary_depth: int) -> None:
-        """Absorb the leaf just placed.
+    def place(self, r: str, join_depth: int) -> None:
+        """Absorb the next leaf, joined at ``join_depth``.
 
-        ``boundary_depth`` is the branch depth separating it from the next
-        leaf in planar order (the adjacent-pair lca depth).
+        The adjacent-pair lca depth after it is the branch depth that
+        separates it and every leaf before it from the leaves still to
+        come; the last leaf has none and leaves nothing to absorb.
         """
+        t = self._placed
+        self._placed = t + 1
+        if t == len(self._adj):
+            return
+        boundary_depth = self._adj[t]
         branch, cd = self._branch, self._cd
         keep = join_depth if join_depth <= boundary_depth else -1
         while branch and branch[-1] >= boundary_depth:
@@ -577,19 +551,13 @@ def _join_depths(
 
 def _depths_valid(tree: LogicalTree, depths: Mapping[str, int]) -> bool:
     """The pairwise shared-prefix rule over per-receiver join depths."""
-    if tree.n_receivers < 2:
-        return True
-    tree._ensure_lca()
-    adj = tree._adj_list
-    blockers = _NearestBlockers()
-    last = tree.n_receivers - 1
-    for t, r in enumerate(tree._leaf_at):
+    blockers = _NearestBlockers(tree)
+    for r in tree._leaf_at:
         cd = depths[r]
-        blocked, exception = blockers.constraint()
+        blocked, exception = blockers.allowed(r)
         if cd <= blocked and cd != exception:
             return False
-        if t < last:
-            blockers.advance(cd, adj[t])
+        blockers.place(r, cd)
     return True
 
 

@@ -10,6 +10,8 @@ implementations against these.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 
@@ -171,3 +173,43 @@ def ref_min_quartets(tree, joins, mode: str = "elimination") -> int:
             if ok:
                 return size
     raise AssertionError("the full pair set must identify a valid config")
+
+
+@dataclass(frozen=True)
+class BenefitQuad:
+    """Surviving-fraction ratios of the four answers for one pair."""
+
+    t1: Fraction
+    t2: Fraction
+    t3: Fraction
+    t4: Fraction
+
+    @property
+    def worst_case(self) -> Fraction:
+        return max(self.t1, self.t2, self.t3, self.t4)
+
+
+def compute_benefits(state, ri: str, rj: str) -> BenefitQuad:
+    """Exact benefit ratios of a pair against a search state's intervals.
+
+    ``state`` carries per-receiver inclusive depth bounds ``lo``/``hi`` in
+    receiver index order.  ``t1`` is |up_i| / (|P_i||P_j|): a type-1
+    answer collapses the pair to the shared prefix where the two joins
+    coincide, so a single factor counts the surviving candidates.
+    """
+    tree = state.tree
+    i, j = sorted((tree.receivers.index(ri), tree.receivers.index(rj)))
+    d = ref_lca_depth(tree, ri, rj)
+    loi, hii = int(state.lo[i]), int(state.hi[i])
+    loj, hij = int(state.lo[j]), int(state.hi[j])
+    up_i = max(0, min(hii, d) - loi + 1)
+    dn_i = max(0, hii - max(loi - 1, d))
+    up_j = max(0, min(hij, d) - loj + 1)
+    dn_j = max(0, hij - max(loj - 1, d))
+    den = (hii - loi + 1) * (hij - loj + 1)
+    return BenefitQuad(
+        t1=Fraction(up_i, den),
+        t2=Fraction(up_i * dn_j, den),
+        t3=Fraction(dn_i * up_j, den),
+        t4=Fraction(dn_i * dn_j, den),
+    )

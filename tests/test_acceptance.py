@@ -19,11 +19,11 @@ from quartetmerge import (
     GroundTruth,
     JoiningConfig,
     NoiseSpec,
+    Oracle,
     QuartetType,
     all_pairs,
     enumerate_valid_configs,
     lower_bound,
-    make_oracle,
     make_tree,
     min_identifying_set,
     min_quartets_all,
@@ -44,7 +44,7 @@ def sampling_probability(tree, config) -> Fraction:
     scan = PlacementScan(tree)
     p = Fraction(1)
     for r in tree.receivers:
-        path = tree.root_path(r).edges
+        path = tree.root_path(r)
         depth = path.index(config[r]) + 1
         blocked, exception = scan.allowed(r)
         n_choices = len(path) - blocked + (1 if exception is not None else 0)
@@ -199,7 +199,7 @@ def test_criterion_08_majority_voting():
     exact = ExactOracle(gt)
     pairs = all_pairs(tree)
     for repeats in (1, 3, 5):
-        noisy = make_oracle(gt, NoiseSpec(p=0.0, repeats=repeats, seed=9))
+        noisy = Oracle(gt, NoiseSpec(p=0.0, repeats=repeats, seed=9))
         for pair in pairs:
             assert noisy.query(*pair).qtype == exact.query(*pair).qtype
 
@@ -208,7 +208,7 @@ def test_criterion_08_majority_voting():
         correct = 0
         for k in range(1000):
             cfg = random_config(tree, k)
-            oracle = make_oracle(
+            oracle = Oracle(
                 GroundTruth(tree, cfg), NoiseSpec(p=0.1, repeats=repeats, seed=k)
             )
             correct += run_rea(tree, oracle).matches(cfg)

@@ -15,13 +15,14 @@ from quartetmerge import (
     LogicalTree,
     QuartetType,
     Stalled,
-    compute_benefits,
+    all_pairs,
     enumerate_valid_configs,
     make_tree,
+    random_config,
     run_gbs,
-    select_quartet,
 )
-from quartetmerge.gbs import CandidateState, apply_update
+from quartetmerge.gbs import CandidateState, apply_update, select_quartet
+from reference import compute_benefits
 
 
 def oracle_for(tree, joins) -> ExactOracle:
@@ -67,6 +68,27 @@ class TestSelection:
         state = CandidateState(three_fork_tree)
         apply_update(state, ("r2", "r3"), QuartetType.BOTH_ABOVE)
         assert select_quartet(state) != ("r2", "r3")
+
+    @pytest.mark.parametrize(
+        "shape, size",
+        [("star", 6), ("tall_binary", 7), ("perfect_binary", 8), ("perfect_ternary", 9)],
+    )
+    def test_matches_exact_fraction_reference(self, shape, size):
+        # along a whole run, each selected pair is the first in nested-loop
+        # order whose exact worst case is minimal among the eligible pairs
+        tree = make_tree(shape, size)
+        gt = GroundTruth(tree, random_config(tree, 1))
+        state = CandidateState(tree)
+        while (pair := select_quartet(state)) is not None:
+            eligible = [
+                p for p in all_pairs(tree)
+                if not (state.is_resolved(p[0]) and state.is_resolved(p[1]))
+                and p not in state.answers
+            ]
+            worst = {p: compute_benefits(state, *p).worst_case for p in eligible}
+            best = min(worst.values())
+            assert pair == next(p for p in eligible if worst[p] == best)
+            apply_update(state, pair, gt.quartet_type(*pair))
 
     def test_none_when_all_resolved(self):
         tree = LogicalTree("s1", [("s1", "r1", "e1"), ("s1", "r2", "e2")], ["r1", "r2"])

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quartetmerge import (
     BadSpec,
+    LogicalTree,
     is_valid_config,
     make_tree,
     perfect_binary,
@@ -14,6 +16,7 @@ from quartetmerge import (
     star,
     tall_binary,
 )
+from test_properties import trees
 
 ALL_SHAPES = [
     ("star", 2),
@@ -31,7 +34,7 @@ def test_star_layout():
     tree = star(4)
     assert tree.receivers == ("r1", "r2", "r3", "r4")
     for k, r in enumerate(tree.receivers):
-        assert tree.root_path(r).edges == ("e1", f"e{k + 2}")
+        assert tree.root_path(r) == ("e1", f"e{k + 2}")
 
 
 def test_tall_binary_layout():
@@ -45,10 +48,10 @@ def test_tall_binary_layout():
         ("b3", "r1", "e6"),
         ("b3", "r2", "e7"),
     }
-    assert tree.root_path("r1").edges == ("e1", "e2", "e4", "e6")
-    assert tree.root_path("r2").edges == ("e1", "e2", "e4", "e7")
-    assert tree.root_path("r3").edges == ("e1", "e2", "e5")
-    assert tree.root_path("r4").edges == ("e1", "e3")
+    assert tree.root_path("r1") == ("e1", "e2", "e4", "e6")
+    assert tree.root_path("r2") == ("e1", "e2", "e4", "e7")
+    assert tree.root_path("r3") == ("e1", "e2", "e5")
+    assert tree.root_path("r4") == ("e1", "e3")
 
 
 def test_perfect_binary_layout():
@@ -62,7 +65,7 @@ def test_perfect_binary_layout():
         ("b3", "r3", "e6"),
         ("b3", "r4", "e7"),
     }
-    assert tree.root_path("r3").edges == ("e1", "e3", "e6")
+    assert tree.root_path("r3") == ("e1", "e3", "e6")
 
 
 @pytest.mark.parametrize(
@@ -133,6 +136,21 @@ def test_random_config_varies_with_seed():
 def test_sampler_fast_path_matches_full_scan(shape, size, seed):
     fast = random_config(make_tree(shape, size), seed)
     slow_tree = make_tree(shape, size)
+    slow_tree._ensure_lca()
+    slow_tree._planar = False
+    assert random_config(slow_tree, seed) == fast
+
+
+@given(trees(max_receivers=10), st.integers(0, 2**16))
+@settings(deadline=None)
+def test_sampler_fast_path_matches_full_scan_on_random_trees(tree, seed):
+    # rebuild with the receivers in planar order, so the sampler may take
+    # its nearest-blocker path; then force the full scan on a twin
+    tree._ensure_lca()
+    fast_tree = LogicalTree(tree.root, tree.edges(), tree._leaf_at)
+    fast = random_config(fast_tree, seed)
+    assert fast_tree._planar
+    slow_tree = LogicalTree(tree.root, tree.edges(), tree._leaf_at)
     slow_tree._ensure_lca()
     slow_tree._planar = False
     assert random_config(slow_tree, seed) == fast

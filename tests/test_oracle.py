@@ -10,11 +10,9 @@ from quartetmerge import (
     BadSpec,
     ExactOracle,
     GroundTruth,
-    MajorityVoteOracle,
     NoiseSpec,
-    NoisyOracle,
+    Oracle,
     QuartetType,
-    make_oracle,
     make_tree,
     random_config,
 )
@@ -43,16 +41,15 @@ def test_pairs_normalize_to_index_order(ground_truth):
     rev = oracle.query("r4", "r1")
     assert fwd == rev
     assert rev.pair == ("r1", "r4")
-    assert oracle.stats.per_pair_counts == {("r1", "r4"): 2}
+    assert oracle.stats.quartet_queries == 2
 
 
 def test_stats_count_probes_and_quartets(ground_truth):
-    oracle = MajorityVoteOracle(ground_truth, NoiseSpec(p=0.2, repeats=5, seed=0))
+    oracle = Oracle(ground_truth, NoiseSpec(p=0.2, repeats=5, seed=0))
     oracle.query("r1", "r2")
     oracle.query("r1", "r3")
     assert oracle.stats.quartet_queries == 2
     assert oracle.stats.total_queries == 10
-    assert oracle.stats.distinct_pairs == 2
 
 
 @pytest.mark.parametrize("p", [-0.5, 1.5])
@@ -67,13 +64,27 @@ def test_repeats_must_be_odd_positive(repeats):
         NoiseSpec(repeats=repeats)
 
 
-def test_make_oracle_picks_cheapest():
+def test_oracle_corrupts_only_under_noise(monkeypatch):
+    # without noise, or with p = 0, the answer comes straight from the
+    # ground truth and no sub-probe is drawn; with p > 0 every query draws
+    # ``repeats`` of them
     tree = make_tree("star", 4)
     gt = GroundTruth(tree, random_config(tree, 0))
-    assert type(make_oracle(gt)) is ExactOracle
-    assert type(make_oracle(gt, NoiseSpec())) is ExactOracle
-    assert type(make_oracle(gt, NoiseSpec(p=0.1))) is NoisyOracle
-    assert type(make_oracle(gt, NoiseSpec(p=0.1, repeats=3))) is MajorityVoteOracle
+    truth = ExactOracle(gt).query("r1", "r2")
+    cases = [
+        (None, 1, 0),
+        (NoiseSpec(), 1, 0),
+        (NoiseSpec(p=0.0, repeats=3), 3, 0),
+        (NoiseSpec(p=0.1), 1, 1),
+        (NoiseSpec(p=0.1, repeats=3), 3, 3),
+    ]
+    for noise, probes, draws in cases:
+        oracle = Oracle(gt, noise)
+        calls = []
+        monkeypatch.setattr(oracle, "_corrupt", lambda t: calls.append(t) or t)
+        assert oracle.query("r1", "r2") == truth
+        assert len(calls) == draws, noise
+        assert oracle.stats.total_queries == probes, noise
 
 
 def test_zero_noise_reproduces_exact_answers_bit_for_bit():
@@ -81,7 +92,7 @@ def test_zero_noise_reproduces_exact_answers_bit_for_bit():
     gt = GroundTruth(tree, random_config(tree, 11))
     exact = ExactOracle(gt)
     for repeats in (1, 5):
-        noisy = make_oracle(gt, NoiseSpec(p=0.0, repeats=repeats, seed=99))
+        noisy = Oracle(gt, NoiseSpec(p=0.0, repeats=repeats, seed=99))
         for ri, rj in itertools.combinations(tree.receivers, 2):
             assert noisy.query(ri, rj) == exact.query(ri, rj)
 
@@ -92,10 +103,10 @@ def test_noisy_oracle_is_seed_deterministic():
     pairs = list(itertools.combinations(tree.receivers, 2))
     runs = []
     for _ in range(2):
-        oracle = NoisyOracle(gt, NoiseSpec(p=0.4, seed=7))
+        oracle = Oracle(gt, NoiseSpec(p=0.4, seed=7))
         runs.append([oracle.query(*p).qtype for p in pairs])
     assert runs[0] == runs[1]
-    other = NoisyOracle(gt, NoiseSpec(p=0.4, seed=8))
+    other = Oracle(gt, NoiseSpec(p=0.4, seed=8))
     assert [other.query(*p).qtype for p in pairs] != runs[0]
 
 
@@ -103,7 +114,7 @@ def test_noise_flips_roughly_p_fraction():
     tree = make_tree("star", 4)
     gt = GroundTruth(tree, random_config(tree, 0))
     truth = ExactOracle(gt).query("r1", "r2").qtype
-    oracle = NoisyOracle(gt, NoiseSpec(p=0.3, seed=5))
+    oracle = Oracle(gt, NoiseSpec(p=0.3, seed=5))
     flips = sum(oracle.query("r1", "r2").qtype != truth for _ in range(2000))
     assert 0.25 < flips / 2000 < 0.35
 
@@ -112,8 +123,8 @@ def test_majority_vote_suppresses_noise():
     tree = make_tree("star", 4)
     gt = GroundTruth(tree, random_config(tree, 0))
     truth = ExactOracle(gt).query("r1", "r2").qtype
-    lone = NoisyOracle(gt, NoiseSpec(p=0.3, seed=2))
-    voted = MajorityVoteOracle(gt, NoiseSpec(p=0.3, repeats=9, seed=2))
+    lone = Oracle(gt, NoiseSpec(p=0.3, seed=2))
+    voted = Oracle(gt, NoiseSpec(p=0.3, repeats=9, seed=2))
     n = 500
     lone_wrong = sum(lone.query("r1", "r2").qtype != truth for _ in range(n))
     voted_wrong = sum(voted.query("r1", "r2").qtype != truth for _ in range(n))
@@ -123,7 +134,7 @@ def test_majority_vote_suppresses_noise():
 def test_majority_tie_goes_to_lowest_type(monkeypatch):
     tree = make_tree("star", 4)
     gt = GroundTruth(tree, random_config(tree, 0))
-    oracle = MajorityVoteOracle(gt, NoiseSpec(p=1.0, repeats=3, seed=0))
+    oracle = Oracle(gt, NoiseSpec(p=1.0, repeats=3, seed=0))
     fed = iter(
         [QuartetType.BOTH_BELOW, QuartetType.SECOND_ABOVE, QuartetType.FIRST_ABOVE]
     )

@@ -74,7 +74,7 @@ def instances(draw):
     tree = draw(trees())
     joins = {}
     for r in tree.receivers:
-        path = tree.root_path(r).edges
+        path = tree.root_path(r)
         joins[r] = path[draw(st.integers(0, len(path) - 1))]
     return tree, joins
 

@@ -12,12 +12,11 @@ from quartetmerge import (
     LogicalTree,
     OracleAnswer,
     QuartetType,
-    WorkingTree,
     enumerate_valid_configs,
     make_tree,
-    pick_siblings,
     run_rea,
 )
+from quartetmerge.rea import WorkingTree, pick_siblings
 
 
 def oracle_for(tree, joins) -> ExactOracle:

@@ -1,5 +1,4 @@
-"""Frozen digests of seeded sampling and elimination runs at a few thousand
-receivers.
+"""Frozen digests of seeded sampling, elimination and noisy-oracle runs.
 
 The expected values were recorded from the implementation that walked the
 tree with iterator-stack DFS passes and keyed edge labels by (parent,
@@ -9,6 +8,12 @@ sampler's random stream, the planar leaf order, the pair policy or the
 surgery shows up here as a changed digest.  The shuffled cases rebuild a
 family tree with its receivers in a seeded random order, which takes the
 sampler off its planar fast path.
+
+The noisy cases run both algorithms at 64 receivers against a seeded
+noisy oracle and digest every query's (pair, answer, probes) plus the
+outcome.  Their values were recorded from the implementation that had one
+oracle class per noise mode (exact, substitution noise, majority vote),
+so they pin the random stream each noise spec draws.
 """
 
 from __future__ import annotations
@@ -22,8 +27,12 @@ from quartetmerge import (
     ExactOracle,
     GroundTruth,
     LogicalTree,
+    NoiseSpec,
+    Oracle,
+    QuartetMergeError,
     make_tree,
     random_config,
+    run_gbs,
     run_rea,
 )
 
@@ -72,3 +81,78 @@ def test_seeded_outputs_are_frozen(shape, size, shuffled, seed):
     assert result.queries_used == size - 1
     digests = (config_digest(config), trace_digest(result))
     assert digests == EXPECTED[shape, size, shuffled, seed]
+
+
+class Recorder:
+    """Passes queries through to an oracle and logs what each one cost."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.stats = oracle.stats
+        self.log: list[str] = []
+
+    def query(self, ri, rj):
+        before = self.stats.total_queries
+        answer = self.oracle.query(ri, rj)
+        probes = self.stats.total_queries - before
+        self.log.append(f"{answer.pair[0]} {answer.pair[1]} {int(answer.qtype)} {probes}")
+        return answer
+
+
+# (algorithm, shape, p, repeats, seed) -> digest, with the outcome and the
+# query count as comments; 64 receivers each, the configuration and the
+# noise stream both seeded with ``seed``
+NOISY = {
+    ("rea", "perfect_binary", 0.05, 1, 0): "346e9d1de5fe894a",  # False, 63 q
+    ("rea", "perfect_binary", 0.05, 1, 5): "eb0f4240e8dac394",  # False, 63 q
+    ("rea", "perfect_binary", 0.05, 3, 0): "c557e30fffd3f52b",  # True, 63 q
+    ("rea", "perfect_binary", 0.05, 3, 5): "9b9ae04ddbc33b41",  # True, 63 q
+    ("rea", "perfect_binary", 0.2, 1, 0): "695402d25897eb5e",  # False, 63 q
+    ("rea", "perfect_binary", 0.2, 1, 5): "c755a935f651eead",  # False, 63 q
+    ("rea", "perfect_binary", 0.2, 3, 0): "88155e99a45def86",  # False, 63 q
+    ("rea", "perfect_binary", 0.2, 3, 5): "5cb23b934a0ab1c3",  # False, 63 q
+    ("rea", "star", 0.05, 1, 0): "16fcf2da5cd47340",  # True, 63 q
+    ("rea", "star", 0.05, 1, 5): "699941984d5873a7",  # False, 63 q
+    ("rea", "star", 0.05, 3, 0): "b2ac93cf29be732e",  # True, 63 q
+    ("rea", "star", 0.05, 3, 5): "5452b955c3cbf8e0",  # True, 63 q
+    ("rea", "star", 0.2, 1, 0): "712653a299571734",  # False, 63 q
+    ("rea", "star", 0.2, 1, 5): "efb4959e168ad3a9",  # False, 63 q
+    ("rea", "star", 0.2, 3, 0): "aae09a77f4a117d8",  # False, 63 q
+    ("rea", "star", 0.2, 3, 5): "5171822c49beaa19",  # False, 63 q
+    ("gbs", "perfect_binary", 0.05, 1, 0): "7569e3af7c8412c9",  # False, 65 q
+    ("gbs", "perfect_binary", 0.05, 1, 5): "68a9ffabeaea7fc2",  # InconsistentAnswer, 67 q
+    ("gbs", "perfect_binary", 0.05, 3, 0): "58ac02ffbc4ba4e7",  # True, 65 q
+    ("gbs", "perfect_binary", 0.05, 3, 5): "be7c1cb5495cc207",  # True, 65 q
+    ("gbs", "perfect_binary", 0.2, 1, 0): "805b1b6a31d595da",  # InconsistentAnswer, 55 q
+    ("gbs", "perfect_binary", 0.2, 1, 5): "ef5771e8d244056d",  # InconsistentAnswer, 50 q
+    ("gbs", "perfect_binary", 0.2, 3, 0): "c4012de70893fa47",  # InconsistentAnswer, 52 q
+    ("gbs", "perfect_binary", 0.2, 3, 5): "b41c9a2db7cf7ff8",  # InconsistentAnswer, 58 q
+    ("gbs", "star", 0.05, 1, 0): "c53a36a7819c6c37",  # True, 32 q
+    ("gbs", "star", 0.05, 1, 5): "d043f8fcf6b2e04b",  # False, 32 q
+    ("gbs", "star", 0.05, 3, 0): "d90741708a7cdfae",  # True, 32 q
+    ("gbs", "star", 0.05, 3, 5): "384e62aade8bafb5",  # True, 32 q
+    ("gbs", "star", 0.2, 1, 0): "7c6639576a1561aa",  # False, 32 q
+    ("gbs", "star", 0.2, 1, 5): "ace7e65833ccb338",  # False, 32 q
+    ("gbs", "star", 0.2, 3, 0): "2387fdeaa6bfcf14",  # False, 32 q
+    ("gbs", "star", 0.2, 3, 5): "e4361e17cdbba29e",  # False, 32 q
+}
+
+
+@pytest.mark.parametrize("algo, shape, p, repeats, seed", sorted(NOISY))
+def test_noisy_streams_are_frozen(algo, shape, p, repeats, seed):
+    tree = make_tree(shape, 64)
+    config = random_config(tree, seed)
+    oracle = Recorder(
+        Oracle(GroundTruth(tree, config), NoiseSpec(p=p, repeats=repeats, seed=seed))
+    )
+    try:
+        if algo == "rea":
+            result = run_rea(tree, oracle)
+        else:
+            result = run_gbs(tree, oracle, propagate_equalities=True)
+        outcome = f"correct {result.matches(config)}"
+    except QuartetMergeError as exc:
+        outcome = type(exc).__name__
+    text = "\n".join(oracle.log + [outcome])
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == NOISY[algo, shape, p, repeats, seed]
