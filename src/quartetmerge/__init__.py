@@ -32,7 +32,7 @@ from .exhaustive import (
     min_quartets,
     min_quartets_all,
 )
-from .gbs import GbsTrace, SearchStep, run_gbs
+from .gbs import run_gbs
 from .generators import (
     make_tree,
     perfect_binary,
@@ -43,8 +43,8 @@ from .generators import (
 )
 from .multisource import MultiResult, run_multi
 from .oracle import ExactOracle, NoiseSpec, Oracle, OracleAnswer, OracleStats
-from .rea import ReaTrace, SurgeryStep, run_rea
-from .results import InferenceResult
+from .rea import run_rea
+from .results import InferenceResult, Step, Trace
 from .sweep import (
     ALGORITHMS,
     SweepRow,
@@ -74,7 +74,6 @@ __all__ = [
     "ALGORITHMS",
     "BadSpec",
     "ExactOracle",
-    "GbsTrace",
     "GroundTruth",
     "InconsistentAnswer",
     "InferenceResult",
@@ -92,15 +91,14 @@ __all__ = [
     "ParseError",
     "QuartetMergeError",
     "QuartetType",
-    "ReaTrace",
     "SameReceiver",
-    "SearchStep",
     "Stalled",
+    "Step",
     "StructuralViolation",
-    "SurgeryStep",
     "SweepRow",
     "SweepSummary",
     "TooLarge",
+    "Trace",
     "UnknownReceiver",
     "all_pairs",
     "answer_set",

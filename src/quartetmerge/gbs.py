@@ -19,30 +19,17 @@ two receivers so that later shrinks of one narrow the other as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InconsistentAnswer, InsufficientReceivers, Stalled
 from .oracle import Pair
-from .results import InferenceResult
+from .results import InferenceResult, Step, Trace
 from .topology import JoiningConfig, LogicalTree, QuartetType
 
 
-@dataclass(frozen=True)
-class SearchStep:
-    pair: Pair
-    answer: QuartetType
-    from_cache: bool
-
-
-@dataclass
-class GbsTrace:
-    steps: list[SearchStep] = field(default_factory=list)
-
-
 class CandidateState:
-    """Candidate intervals, answer cache, and optional equality groups.
+    """Candidate intervals, the pairs asked so far, and optional
+    equality groups.
 
     Intervals are stored as inclusive edge-depth bounds (lo, hi) into each
     receiver's root path; a receiver is resolved when lo == hi.  Receivers
@@ -64,8 +51,7 @@ class CandidateState:
             [tree.lca_depth(rec[i], rec[j]) for i, j in zip(self.I, self.J)],
             dtype=np.int64,
         )
-        self.answers: dict[Pair, QuartetType] = {}
-        self.ans_code = np.zeros(len(self.I), dtype=np.int8)
+        self.asked = np.zeros(len(self.I), dtype=bool)
         self._uf = list(range(n))
         self._members = {k: [k] for k in range(n)}
 
@@ -124,11 +110,12 @@ class CandidateState:
 def select_quartet(state: CandidateState) -> Pair | None:
     """Eligible pair with the minimum worst-case surviving fraction.
 
-    Skips pairs whose receivers are both resolved and answered pairs whose
-    cached answer would shrink nothing.  Ties break in nested-loop order
-    (ascending first index, then second), so argmin's first-minimum rule
-    matches the enumeration exactly.  Returns None when nothing is
-    eligible.
+    Skips pairs whose receivers are both resolved, and pairs already
+    asked: an answer leaves both intervals inside the halves it names and
+    later updates only narrow them, so asking again would shrink nothing.
+    Ties break in nested-loop order (ascending first index, then second),
+    so argmin's first-minimum rule matches the enumeration exactly.
+    Returns None when nothing is eligible.
     """
     I, J, d = state.I, state.J, state.branch_depth
     loi, hii = state.lo[I], state.hi[I]
@@ -136,19 +123,7 @@ def select_quartet(state: CandidateState) -> Pair | None:
     si = hii - loi + 1
     sj = hij - loj + 1
 
-    eligible = (si > 1) | (sj > 1)
-    code = state.ans_code
-    answered = code > 0
-    if answered.any():
-        i_above = (code == 1) | (code == 2)
-        j_above = (code == 1) | (code == 3)
-        nloi = np.where(i_above, loi, np.maximum(loi, d + 1))
-        nhii = np.where(i_above, np.minimum(hii, d), hii)
-        nloj = np.where(j_above, loj, np.maximum(loj, d + 1))
-        nhij = np.where(j_above, np.minimum(hij, d), hij)
-        progress = (nloi != loi) | (nhii != hii) | (nloj != loj) | (nhij != hij)
-        eligible &= ~answered | progress
-
+    eligible = ((si > 1) | (sj > 1)) & ~state.asked
     if not eligible.any():
         return None
 
@@ -166,17 +141,16 @@ def select_quartet(state: CandidateState) -> Pair | None:
 
 
 def apply_update(state: CandidateState, pair: Pair, answer: QuartetType) -> None:
-    """Shrink the pair's intervals according to the answer and cache it.
+    """Shrink the pair's intervals according to the answer; mark it asked.
 
-    Raises InconsistentAnswer when an interval would come out empty, which
-    cannot happen with an exact oracle.
+    The answer is read in the pair's given order: FIRST_ABOVE puts
+    ``pair[0]``'s join above the branching point even when ``pair[0]`` has
+    the higher index.  Raises InconsistentAnswer when an interval would
+    come out empty, which cannot happen with an exact oracle.
     """
     tree = state.tree
     i = tree.receiver_index(pair[0])
     j = tree.receiver_index(pair[1])
-    if i > j:
-        i, j = j, i
-        pair = (pair[1], pair[0])
     d = tree.lca_depth(pair[0], pair[1])
     halves = (
         (i, answer in (QuartetType.BOTH_ABOVE, QuartetType.FIRST_ABOVE)),
@@ -196,8 +170,7 @@ def apply_update(state: CandidateState, pair: Pair, answer: QuartetType) -> None
     for k, nlo, nhi in new:
         state.lo[k] = nlo
         state.hi[k] = nhi
-    state.answers[pair] = answer
-    state.ans_code[state._pair_index(i, j)] = int(answer)
+    state.asked[state._pair_index(min(i, j), max(i, j))] = True
     if state.propagate:
         if answer == QuartetType.BOTH_ABOVE:
             state._union(i, j)
@@ -210,25 +183,22 @@ def run_gbs(
 ) -> InferenceResult:
     """Run the search to full resolution and read off the joining map.
 
-    Already-answered pairs can be re-selected at zero query cost; only
-    distinct oracle queries count.  Raises Stalled if unresolved receivers
-    remain with no eligible pair, which an exact oracle never produces.
+    Each selected pair is queried once, so the trace lists every query
+    and its length is the query count.  Raises Stalled if unresolved
+    receivers remain with no eligible pair, which an exact oracle never
+    produces.
     """
     if tree.n_receivers < 2:
         raise InsufficientReceivers("the search needs at least 2 receivers")
     state = CandidateState(tree, propagate_equalities)
-    trace = GbsTrace()
+    trace = Trace()
     while not state.all_resolved():
         pair = select_quartet(state)
         if pair is None:
             raise Stalled(f"no eligible pair left; unresolved: {state.unresolved()}")
-        cached = pair in state.answers
-        if cached:
-            answer = state.answers[pair]
-        else:
-            answer = oracle.query(*pair).qtype
+        answer = oracle.query(*pair).qtype
         apply_update(state, pair, answer)
-        trace.steps.append(SearchStep(pair=pair, answer=answer, from_cache=cached))
+        trace.steps.append(Step(pair, answer))
 
     joins = {
         r: tree.root_path(r)[int(state.lo[k]) - 1]
@@ -236,6 +206,6 @@ def run_gbs(
     }
     return InferenceResult(
         joins=JoiningConfig(joins),
-        queries_used=len(state.answers),
+        queries_used=len(trace.steps),
         trace=trace,
     )

@@ -15,35 +15,11 @@ under a noisy oracle (the returned map may then simply be wrong).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
 from .errors import InsufficientReceivers, StructuralViolation
 from .oracle import Pair
-from .results import InferenceResult
+from .results import InferenceResult, Step, Trace
 from .topology import JoiningConfig, LogicalTree, QuartetType
-
-
-@dataclass(frozen=True, slots=True)
-class SurgeryStep:
-    """One query and the surgery it caused.
-
-    ``identified`` names the receiver whose joining edge the step pinned
-    down, or None for a type-1 answer, which only aliases the deleted
-    receiver's join to its sibling's.
-    """
-
-    pair: Pair
-    answer: QuartetType
-    deleted_receiver: str
-    deleted_edge: str
-    contracted_edge: str | None
-    identified: tuple[str, str] | None
-
-
-@dataclass
-class ReaTrace:
-    steps: list[SurgeryStep] = field(default_factory=list)
-    aliases: dict[str, str] = field(default_factory=dict)
 
 
 class WorkingTree:
@@ -205,12 +181,12 @@ def pick_siblings(wt: WorkingTree) -> tuple[str, str, str]:
 
 
 def apply_answer(
-    wt: WorkingTree, pair: Pair, parent: str, answer: QuartetType, trace: ReaTrace
+    wt: WorkingTree, pair: Pair, parent: str, answer: QuartetType, trace: Trace
 ) -> WorkingTree:
     """One surgery step for an answered sibling-leaf pair.
 
     The pair must be in receiver index order with both members children of
-    ``parent``.  Appends a SurgeryStep to the trace and returns the tree.
+    ``parent``.  Appends a Step to the trace and returns the tree.
     """
     first, second = pair
     if answer == QuartetType.BOTH_ABOVE:
@@ -221,11 +197,7 @@ def apply_answer(
         deleted, survivor = first, second
     else:
         deleted, survivor = second, first
-    # every answer but type 1 pins down the deleted receiver's leaf edge
     deleted_edge = wt.leaf_label(deleted)
-    identified = None
-    if answer != QuartetType.BOTH_ABOVE:
-        identified = (deleted, deleted_edge)
 
     wt.delete_leaf(deleted)
     contracted = None
@@ -234,16 +206,7 @@ def apply_answer(
             contracted = wt.contract_into_parent(parent)
         else:
             contracted = wt.contract_leaf_edge(parent, survivor)
-    trace.steps.append(
-        SurgeryStep(
-            pair=pair,
-            answer=answer,
-            deleted_receiver=deleted,
-            deleted_edge=deleted_edge,
-            contracted_edge=contracted,
-            identified=identified,
-        )
-    )
+    trace.steps.append(Step(pair, answer, deleted, deleted_edge, contracted))
     return wt
 
 
@@ -253,15 +216,16 @@ def run_rea(tree: LogicalTree, oracle) -> InferenceResult:
     if n < 2:
         raise InsufficientReceivers("receiver elimination needs at least 2 receivers")
     wt = WorkingTree(tree)
-    trace = ReaTrace()
+    trace = Trace()
     joins: dict[str, str] = {}
     while len(wt.live) > 1:
         first, second, parent = pick_siblings(wt)
         answer = oracle.query(first, second)
         apply_answer(wt, answer.pair, parent, answer.qtype, trace)
         step = trace.steps[-1]
-        if step.identified is not None:
-            joins[step.identified[0]] = step.identified[1]
+        # every answer but type 1 pins down the deleted receiver's leaf edge
+        if step.answer != QuartetType.BOTH_ABOVE:
+            joins[step.deleted_receiver] = step.deleted_edge
 
     (last,) = wt.live
     if wt.parent.get(last) != wt.root or wt.out_degree(wt.root) != 1:

@@ -213,3 +213,97 @@ def compute_benefits(state, ri: str, rj: str) -> BenefitQuad:
         t3=Fraction(dn_i * up_j, den),
         t4=Fraction(dn_i * dn_j, den),
     )
+
+
+@dataclass
+class RefGbsRun:
+    """What the reference search did: every step, the distinct queries,
+    and the map it read off."""
+
+    steps: list[tuple[tuple[str, str], int]]
+    queries_used: int
+    joins: dict[str, str]
+
+
+def ref_gbs(tree, oracle, propagate_equalities: bool = False) -> RefGbsRun:
+    """Benefit-guided search with an answer cache, one exact step at a time.
+
+    Each step takes the first pair in nested-loop order whose exact
+    ``compute_benefits`` worst case is minimal, among pairs that are not
+    both resolved and are either unanswered or hold a cached answer that
+    would still shrink an interval.  A cached pair is replayed without
+    asking the oracle.  Answers name the half of each interval the join
+    lies in; with ``propagate_equalities`` a type-1 answer links the two
+    receivers, and linked receivers keep the intersection of their
+    intervals.  Raises the package's InconsistentAnswer when an interval
+    comes out empty and Stalled when no pair is left.
+    """
+    from quartetmerge import InconsistentAnswer, Stalled
+
+    rec = list(tree.receivers)
+    state = _RefState(tree)
+    group = {r: {r} for r in rec}
+    cache: dict[tuple[str, str], int] = {}
+    steps = []
+
+    def halves(ri, rj, answer):
+        d = ref_lca_depth(tree, ri, rj)
+        out = {}
+        for r, above in ((ri, answer in (1, 2)), (rj, answer in (1, 3))):
+            k = rec.index(r)
+            lo, hi = state.lo[k], state.hi[k]
+            out[k] = (lo, min(hi, d)) if above else (max(lo, d + 1), hi)
+        return out
+
+    while any(lo != hi for lo, hi in zip(state.lo, state.hi)):
+        best = None
+        for a, b in itertools.combinations(range(len(rec)), 2):
+            if state.lo[a] == state.hi[a] and state.lo[b] == state.hi[b]:
+                continue
+            pair = (rec[a], rec[b])
+            if pair in cache:
+                new = halves(*pair, cache[pair])
+                if all(new[k] == (state.lo[k], state.hi[k]) for k in new):
+                    continue
+            wc = compute_benefits(state, *pair).worst_case
+            if best is None or wc < best[0]:
+                best = (wc, pair)
+        if best is None:
+            raise Stalled("reference search has no eligible pair left")
+        pair = best[1]
+        if pair in cache:
+            answer = cache[pair]
+        else:
+            answer = cache[pair] = int(oracle.query(*pair).qtype)
+        new = halves(*pair, answer)
+        if any(lo > hi for lo, hi in new.values()):
+            raise InconsistentAnswer("reference interval came out empty")
+        for k, (lo, hi) in new.items():
+            state.lo[k], state.hi[k] = lo, hi
+        if propagate_equalities:
+            if answer == 1:
+                merged = group[pair[0]] | group[pair[1]]
+                for r in merged:
+                    group[r] = merged
+            for r in pair:
+                ks = [rec.index(m) for m in group[r]]
+                lo = max(state.lo[k] for k in ks)
+                hi = min(state.hi[k] for k in ks)
+                if lo > hi:
+                    raise InconsistentAnswer("reference group came out empty")
+                for k in ks:
+                    state.lo[k], state.hi[k] = lo, hi
+        steps.append((pair, answer))
+
+    joins = {r: ref_root_path(tree, r)[state.lo[k] - 1] for k, r in enumerate(rec)}
+    return RefGbsRun(steps=steps, queries_used=len(cache), joins=joins)
+
+
+class _RefState:
+    """Inclusive edge-depth bounds per receiver, in receiver index order,
+    shaped as ``compute_benefits`` reads them."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.lo = [1] * len(tree.receivers)
+        self.hi = [len(ref_root_path(tree, r)) for r in tree.receivers]

@@ -12,7 +12,6 @@ PUBLIC = [
     "ALGORITHMS",
     "BadSpec",
     "ExactOracle",
-    "GbsTrace",
     "GroundTruth",
     "InconsistentAnswer",
     "InferenceResult",
@@ -30,15 +29,14 @@ PUBLIC = [
     "ParseError",
     "QuartetMergeError",
     "QuartetType",
-    "ReaTrace",
     "SameReceiver",
-    "SearchStep",
     "Stalled",
+    "Step",
     "StructuralViolation",
-    "SurgeryStep",
     "SweepRow",
     "SweepSummary",
     "TooLarge",
+    "Trace",
     "UnknownReceiver",
     "__version__",
     "all_pairs",

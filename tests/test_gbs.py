@@ -64,7 +64,7 @@ class TestSelection:
         state = CandidateState(three_fork_tree)
         assert select_quartet(state) == ("r2", "r3")
 
-    def test_skips_answered_pair_without_progress(self, three_fork_tree):
+    def test_never_reselects_an_answered_pair(self, three_fork_tree):
         state = CandidateState(three_fork_tree)
         apply_update(state, ("r2", "r3"), QuartetType.BOTH_ABOVE)
         assert select_quartet(state) != ("r2", "r3")
@@ -79,16 +79,18 @@ class TestSelection:
         tree = make_tree(shape, size)
         gt = GroundTruth(tree, random_config(tree, 1))
         state = CandidateState(tree)
+        asked = set()
         while (pair := select_quartet(state)) is not None:
             eligible = [
                 p for p in all_pairs(tree)
                 if not (state.is_resolved(p[0]) and state.is_resolved(p[1]))
-                and p not in state.answers
+                and p not in asked
             ]
             worst = {p: compute_benefits(state, *p).worst_case for p in eligible}
             best = min(worst.values())
             assert pair == next(p for p in eligible if worst[p] == best)
             apply_update(state, pair, gt.quartet_type(*pair))
+            asked.add(pair)
 
     def test_none_when_all_resolved(self):
         tree = LogicalTree("s1", [("s1", "r1", "e1"), ("s1", "r2", "e2")], ["r1", "r2"])
@@ -110,6 +112,20 @@ class TestUpdates:
         assert state.interval("r3") == (3, 3)
         with pytest.raises(InconsistentAnswer):
             apply_update(state, ("r2", "r3"), QuartetType.BOTH_ABOVE)
+
+    def test_reversed_pair_reads_the_answer_in_its_own_order(self):
+        # an answer names "first" and "second" by the pair as given, so a
+        # pair in reverse index order must leave the same intervals as the
+        # index-ordered pair with the index-ordered answer
+        tree = make_tree("tall_binary", 5)
+        for seed in range(30):
+            gt = GroundTruth(tree, random_config(tree, seed))
+            for a, b in all_pairs(tree):
+                ordered, reversed_ = CandidateState(tree), CandidateState(tree)
+                apply_update(ordered, (a, b), gt.quartet_type(a, b))
+                apply_update(reversed_, (b, a), gt.quartet_type(b, a))
+                for r in (a, b):
+                    assert reversed_.interval(r) == ordered.interval(r), (seed, a, b)
 
     def test_equality_propagation_syncs_group(self, three_fork_tree):
         state = CandidateState(three_fork_tree, propagate_equalities=True)
@@ -148,13 +164,12 @@ class TestRuns:
     def test_recovers_every_config(self, shape, size, propagate):
         tree = make_tree(shape, size)
         for joins in enumerate_valid_configs(tree):
-            res = run_gbs(
-                tree, oracle_for(tree, joins.joins), propagate_equalities=propagate
-            )
+            oracle = oracle_for(tree, joins.joins)
+            res = run_gbs(tree, oracle, propagate_equalities=propagate)
             assert res.matches(joins)
-            assert res.queries_used == sum(
-                not s.from_cache for s in res.trace.steps
-            )
+            pairs = [s.pair for s in res.trace.steps]
+            assert res.queries_used == len(pairs) == oracle.stats.quartet_queries
+            assert len(set(pairs)) == len(pairs)
 
     def test_propagation_saves_queries_on_coincident_joins(self, root_join_anchor):
         tree, config = root_join_anchor

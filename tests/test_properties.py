@@ -11,6 +11,9 @@ from quartetmerge import (
     GroundTruth,
     JoiningConfig,
     LogicalTree,
+    NoiseSpec,
+    Oracle,
+    QuartetMergeError,
     QuartetType,
     identifies,
     is_valid_config,
@@ -21,7 +24,13 @@ from quartetmerge import (
     run_rea,
     serialize_topology,
 )
-from reference import ref_is_valid, ref_lca_depth, ref_quartet_type, ref_root_path
+from reference import (
+    ref_gbs,
+    ref_is_valid,
+    ref_lca_depth,
+    ref_quartet_type,
+    ref_root_path,
+)
 
 SWAPPED = {
     QuartetType.BOTH_ABOVE: QuartetType.BOTH_ABOVE,
@@ -149,13 +158,43 @@ def test_rea_recovers_in_exactly_n_minus_one(inst):
 @settings(deadline=None)
 def test_gbs_recovers_within_the_pair_budget(inst, propagate):
     tree, config = inst
-    res = run_gbs(
-        tree, ExactOracle(GroundTruth(tree, config)), propagate_equalities=propagate
-    )
+    oracle = ExactOracle(GroundTruth(tree, config))
+    res = run_gbs(tree, oracle, propagate_equalities=propagate)
     assert res.matches(config)
     n = tree.n_receivers
     assert res.queries_used <= n * (n - 1) // 2
-    assert res.queries_used == sum(not s.from_cache for s in res.trace.steps)
+    pairs = [s.pair for s in res.trace.steps]
+    assert res.queries_used == len(pairs) == oracle.stats.quartet_queries
+    assert len(set(pairs)) == len(pairs)
+
+
+@given(
+    valid_instances(),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 2**16).map(lambda s: NoiseSpec(p=0.1, seed=s))),
+)
+@settings(deadline=None)
+def test_gbs_matches_the_answer_cache_reference(inst, propagate, noise):
+    # the reference keeps an answer cache and replays a cached pair while
+    # its answer still shrinks an interval; the package asks each pair
+    # once, and must make the same queries with the same outcome
+    tree, config = inst
+    gt = GroundTruth(tree, config)
+
+    def run(fn):
+        try:
+            return fn(tree, Oracle(gt, noise), propagate_equalities=propagate)
+        except QuartetMergeError as exc:
+            return type(exc)
+
+    res, ref = run(run_gbs), run(ref_gbs)
+    if isinstance(ref, type):
+        assert res is ref
+        return
+    assert not isinstance(res, type), res
+    assert [(s.pair, int(s.answer)) for s in res.trace.steps] == ref.steps
+    assert res.queries_used == ref.queries_used
+    assert dict(res.joins) == ref.joins
 
 
 @given(valid_instances())
