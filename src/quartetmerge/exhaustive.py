@@ -38,7 +38,6 @@ from .topology import (
     LogicalTree,
     PlacementScan,
     QuartetType,
-    _quartet_type_raw,
 )
 
 Pair = tuple[str, str]
@@ -115,16 +114,15 @@ def _answer_matrix(
 ) -> np.ndarray:
     m = np.empty((len(configs), len(pairs)), dtype=np.int8)
     for row, cfg in enumerate(configs):
-        joins = cfg.joins
+        gt = GroundTruth(tree, cfg)
         for col, (a, b) in enumerate(pairs):
-            m[row, col] = int(_quartet_type_raw(tree, joins, a, b))
+            m[row, col] = int(gt.quartet_type(a, b))
     return m
 
 
-def _deduction_identified(
-    tree: LogicalTree, pairs: list[Pair], joins_map
-) -> bool:
+def _deduction_identified(gt: GroundTruth, pairs: list[Pair]) -> bool:
     """Close answers under interval and equality rules; True if all pinned."""
+    tree = gt.tree
     n = tree.n_receivers
     lo = [1] * n
     hi = [tree.node_depth(r) for r in tree.receivers]
@@ -137,7 +135,7 @@ def _deduction_identified(
         return k
 
     for a, b in pairs:
-        code = int(_quartet_type_raw(tree, joins_map, a, b))
+        code = int(gt.quartet_type(a, b))
         i = tree.receiver_index(a)
         j = tree.receiver_index(b)
         d = tree.lca_depth(a, b)
@@ -168,25 +166,20 @@ def identifies(
     configs: list[JoiningConfig] | None = None,
     mode: str = "elimination",
 ) -> bool:
-    """True when the answers on ``pairs`` pin ``config`` uniquely."""
+    """True when the answers on ``pairs`` pin ``config`` uniquely.
+
+    Raises MisplacedJoin or InvalidConfiguration when ``config`` is not a
+    valid joining configuration of ``tree``.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    joins = config.joins
     if mode == "deduction":
-        return _deduction_identified(tree, pairs, joins)
+        return _deduction_identified(GroundTruth(tree, config), pairs)
+    target = _answer_matrix(tree, [config], pairs)
     if configs is None:
         configs = enumerate_valid_configs(tree)
-    target = [_quartet_type_raw(tree, joins, a, b) for a, b in pairs]
-    for other in configs:
-        if other == config:
-            continue
-        others = other.joins
-        if all(
-            _quartet_type_raw(tree, others, a, b) == t
-            for (a, b), t in zip(pairs, target)
-        ):
-            return False
-    return True
+    others = _answer_matrix(tree, [c for c in configs if c != config], pairs)
+    return not (others == target).all(axis=1).any()
 
 
 def min_identifying_set(
@@ -199,22 +192,24 @@ def min_identifying_set(
     """Smallest pair subset whose answers pin ``config`` uniquely.
 
     Breadth-first in subset size; among equal-size subsets the first in
-    combination order wins, so the witness is deterministic.
+    combination order wins, so the witness is deterministic.  Raises
+    MisplacedJoin or InvalidConfiguration when ``config`` is not a valid
+    joining configuration of ``tree``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    gt = GroundTruth(tree, config)  # raises on an invalid map
     pairs = all_pairs(tree)
     explored = 0
     if mode == "deduction":
-        joins = config.joins
-        if _deduction_identified(tree, [], joins):
+        if _deduction_identified(gt, []):
             return ()
         for k in range(1, len(pairs) + 1):
             for subset in combinations(pairs, k):
                 explored += 1
                 if explored > max_subsets:
                     raise TooLarge(f"subset search exceeded the cap {max_subsets}")
-                if _deduction_identified(tree, list(subset), joins):
+                if _deduction_identified(gt, list(subset)):
                     return subset
         raise StructuralViolation("the full pair set failed to pin the config")
     configs = enumerate_valid_configs(tree)

@@ -2,14 +2,17 @@
 
 Each round queries a pair of sibling leaves.  Whatever the answer, one of
 the two receivers' joining edges becomes known (or known-equal to its
-sibling's), that receiver is cut off, and the tree is re-normalized by
-contracting any out-degree-1 node the cut exposes.  N receivers therefore
-cost exactly N - 1 queries.
+sibling's), and that receiver is cut off.  If the cut leaves the parent
+with the other receiver alone, the parent is spliced out and one of the
+two edges it joined disappears, so every internal node below the root
+keeps two or more children.  N receivers therefore cost exactly N - 1
+queries.
 
-Contractions preserve the labels of surviving edges, so a receiver's leaf
-edge in the working tree is always an edge of its original root path;
-answers are taken at face value, which keeps the procedure total even
-under a noisy oracle (the returned map may then simply be wrong).
+A splice removes an edge but never relabels one that survives off its
+path, so a receiver's leaf edge in the working tree is always an edge of
+its original root path; answers are taken at face value, which keeps the
+procedure total even under a noisy oracle (the returned map may then
+simply be wrong).
 """
 
 from __future__ import annotations
@@ -25,14 +28,14 @@ from .topology import JoiningConfig, LogicalTree, QuartetType
 class WorkingTree:
     """Mutable view of a logical tree that receiver elimination cuts down.
 
-    Leaves and live receivers coincide at all times.  Depth bookkeeping is
-    O(1) per surgery step because the only node a contraction ever lifts,
-    beyond the merged node itself, is the surviving sibling leaf.  Edge
-    labels are keyed by child node, as in LogicalTree, so a contraction
-    re-keys at most the label of the merged node.
+    Leaves and live receivers coincide at all times, and a receiver is
+    live while it has a ``parent`` entry.  ``cut`` is the only edit; the
+    one node it lifts is the surviving leaf, so receiver depths stay exact
+    at O(1) per step, while internal-node depths go stale unread.  Edge
+    labels are keyed by child node, as in LogicalTree.
     """
 
-    __slots__ = ("root", "parent", "children", "labels", "depth", "live",
+    __slots__ = ("root", "parent", "children", "labels", "depth",
                  "_heap", "_index", "_receivers")
 
     def __init__(self, tree: LogicalTree):
@@ -43,25 +46,15 @@ class WorkingTree:
         self.children = dict(tree._children)
         self.labels = dict(tree._labels)
         self.depth = dict(tree._depth)
-        self.live = set(tree.receivers)
         self._index = tree._rindex
         self._receivers = tree.receivers
         # key -depth * N + index orders by depth descending, then index;
-        # entries go stale when a contraction lifts a receiver, every lift
-        # pushes a fresh entry and deepest_receiver skips the stale ones
+        # entries go stale when a cut lifts a receiver, every lift pushes
+        # a fresh entry and deepest_receiver skips the stale ones
         n = len(tree.receivers)
         depth = self.depth
         self._heap = [-depth[r] * n + k for k, r in enumerate(tree.receivers)]
         heapq.heapify(self._heap)
-
-    def is_leaf(self, node: str) -> bool:
-        return not self.children[node]
-
-    def leaf_label(self, r: str) -> str:
-        return self.labels[r]
-
-    def out_degree(self, node: str) -> int:
-        return len(self.children[node])
 
     def _edit_children(self, node: str) -> list[str]:
         cs = self.children[node]
@@ -75,118 +68,71 @@ class WorkingTree:
         while heap:
             neg_depth, k = divmod(heap[0], n)
             r = self._receivers[k]
-            if r in self.live and self.depth[r] == -neg_depth:
+            if r in self.parent and self.depth[r] == -neg_depth:
                 return r
             heapq.heappop(heap)
         raise StructuralViolation("no live receivers left to pick")
 
-    def _lift(self, r: str) -> None:
-        n = len(self._receivers)
-        heapq.heappush(self._heap, -self.depth[r] * n + self._index[r])
+    def cut(self, deleted: str, survivor: str, keep_leaf_edge: bool) -> str | None:
+        """Remove leaf ``deleted``; splice out a parent it leaves with one child.
 
-    def delete_leaf(self, r: str) -> str:
-        """Remove receiver ``r`` and its leaf edge; returns the old parent."""
-        p = self.parent.pop(r)
-        self._edit_children(p).remove(r)
-        del self.labels[r]
-        del self.children[r]
-        self.live.discard(r)
-        return p
-
-    def contract_leaf_edge(self, p: str, leaf: str) -> str | None:
-        """Merge out-degree-1 node ``p`` into its sole leaf child.
-
-        The leaf keeps its identity and inherits p's incoming edge label;
-        the leaf's own edge label disappears.  No contraction happens when
-        p is the root, since a root of out-degree 1 is legal.
+        When the parent p is not the root and ``survivor`` is its last
+        child, survivor takes p's place among the grandparent's children.
+        With ``keep_leaf_edge`` survivor keeps its own leaf edge and p's
+        incoming label disappears; otherwise survivor takes p's label and
+        its own leaf edge disappears.  Returns the label that disappeared,
+        or None when nothing was spliced.
         """
-        if p == self.root:
+        parent, labels = self.parent, self.labels
+        p = parent.pop(deleted)
+        siblings = self._edit_children(p)
+        siblings.remove(deleted)
+        del labels[deleted]
+        del self.children[deleted]
+        if len(siblings) != 1 or p == self.root:
             return None
-        g = self.parent[p]
-        removed = self.labels[leaf]
-        self.labels[leaf] = self.labels.pop(p)
-        siblings = self._edit_children(g)
-        siblings[siblings.index(p)] = leaf
-        self.parent[leaf] = g
-        del self.parent[p]
+        g = parent.pop(p)
+        up = self._edit_children(g)
+        up[up.index(p)] = survivor
+        parent[survivor] = g
         del self.children[p]
-        self.depth[leaf] -= 1
-        if leaf in self.live:
-            self._lift(leaf)
-        return removed
-
-    def contract_into_parent(self, p: str) -> str | None:
-        """Merge ``p`` with its parent; the merged node keeps p's name.
-
-        p's incoming edge label disappears; the grandparent edge label and
-        the labels of the parent's other children survive on the merged
-        node.  When the parent was the root, p becomes the root.  Depth
-        bookkeeping assumes p's own children are leaves, which holds at
-        the only call site (the sole remaining child is the surviving
-        sibling leaf).
-        """
-        if p == self.root:
-            return None
-        q = self.parent[p]
-        removed = self.labels.pop(p)
-        own = tuple(self.children[p])
-        merged = self._edit_children(p)
-        for c in self.children[q]:
-            if c != p:
-                merged.append(c)
-                self.parent[c] = p
-        g = self.parent.get(q)
-        if g is None:
-            self.root = p
-            del self.parent[p]
-        else:
-            siblings = self._edit_children(g)
-            siblings[siblings.index(q)] = p
-            self.parent[p] = g
-            self.labels[p] = self.labels.pop(q)
-        del self.children[q]
-        self.depth[p] -= 1
-        for c in own:
-            if self.children[c]:
-                raise StructuralViolation("contracted under a non-leaf child")
-            self.depth[c] -= 1
-            if c in self.live:
-                self._lift(c)
+        removed = labels.pop(p)
+        if not keep_leaf_edge:
+            removed, labels[survivor] = labels[survivor], removed
+        d = self.depth[survivor] = self.depth[survivor] - 1
+        heapq.heappush(self._heap, -d * len(self._receivers) + self._index[survivor])
         return removed
 
 
-def pick_siblings(wt: WorkingTree) -> tuple[str, str, str]:
+def pick_siblings(wt: WorkingTree) -> Pair:
     """Deterministic pair policy: deepest receiver, then its lowest sibling.
 
     Among the deepest live receivers the one with the lowest index is
-    taken; its sibling leaf with the lowest index completes the pair,
-    returned in index order together with the shared parent.  A deepest
-    leaf always has a sibling leaf: a non-leaf sibling would hang a deeper
-    leaf below it.
+    taken; its sibling with the lowest index completes the pair.  Every
+    sibling of a deepest receiver is a leaf as deep as it (a non-leaf
+    sibling would hang a deeper leaf below it), so the pair comes out in
+    index order.
     """
     first = wt.deepest_receiver()
-    p = wt.parent[first]
-    best: tuple[int, str] | None = None
-    for c in wt.children[p]:
-        if c != first and wt.is_leaf(c):
-            k = wt._index[c]
-            if best is None or k < best[0]:
-                best = (k, c)
+    index = wt._index
+    best = None
+    for c in wt.children[wt.parent[first]]:
+        if c != first:
+            k = index[c]
+            if best is None or k < best:
+                best = k
     if best is None:
         raise StructuralViolation(f"deepest receiver {first!r} has no sibling leaf")
-    second = best[1]
-    if wt._index[first] > wt._index[second]:
-        first, second = second, first
-    return first, second, p
+    return first, wt._receivers[best]
 
 
 def apply_answer(
-    wt: WorkingTree, pair: Pair, parent: str, answer: QuartetType, trace: Trace
+    wt: WorkingTree, pair: Pair, answer: QuartetType, trace: Trace
 ) -> WorkingTree:
     """One surgery step for an answered sibling-leaf pair.
 
     The pair must be in receiver index order with both members children of
-    ``parent``.  Appends a Step to the trace and returns the tree.
+    one parent.  Appends a Step to the trace and returns the tree.
     """
     first, second = pair
     if answer == QuartetType.BOTH_ABOVE:
@@ -197,15 +143,8 @@ def apply_answer(
         deleted, survivor = first, second
     else:
         deleted, survivor = second, first
-    deleted_edge = wt.leaf_label(deleted)
-
-    wt.delete_leaf(deleted)
-    contracted = None
-    if wt.out_degree(parent) == 1:
-        if answer == QuartetType.BOTH_BELOW:
-            contracted = wt.contract_into_parent(parent)
-        else:
-            contracted = wt.contract_leaf_edge(parent, survivor)
+    deleted_edge = wt.labels[deleted]
+    contracted = wt.cut(deleted, survivor, answer == QuartetType.BOTH_BELOW)
     trace.steps.append(Step(pair, answer, deleted, deleted_edge, contracted))
     return wt
 
@@ -217,31 +156,24 @@ def run_rea(tree: LogicalTree, oracle) -> InferenceResult:
         raise InsufficientReceivers("receiver elimination needs at least 2 receivers")
     wt = WorkingTree(tree)
     trace = Trace()
-    joins: dict[str, str] = {}
-    while len(wt.live) > 1:
-        first, second, parent = pick_siblings(wt)
+    for _ in range(n - 1):
+        first, second = pick_siblings(wt)
         answer = oracle.query(first, second)
-        apply_answer(wt, answer.pair, parent, answer.qtype, trace)
-        step = trace.steps[-1]
-        # every answer but type 1 pins down the deleted receiver's leaf edge
-        if step.answer != QuartetType.BOTH_ABOVE:
-            joins[step.deleted_receiver] = step.deleted_edge
+        apply_answer(wt, answer.pair, answer.qtype, trace)
 
-    (last,) = wt.live
-    if wt.parent.get(last) != wt.root or wt.out_degree(wt.root) != 1:
+    top = wt.children[wt.root]
+    if len(top) != 1 or wt.children[top[0]]:
         raise StructuralViolation("working tree did not reduce to a single edge")
-    joins[last] = wt.leaf_label(last)
-
-    # aliased receivers are deleted strictly before their targets, so each
-    # chain ends at a receiver with a pinned edge
-    for r in tree.receivers:
-        chain = []
-        t = r
-        while t not in joins:
-            chain.append(t)
-            t = trace.aliases[t]
-        for c in chain:
-            joins[c] = joins[t]
+    joins = {top[0]: wt.labels[top[0]]}
+    # every answer but type 1 pins down the deleted receiver's leaf edge;
+    # a type-1 survivor outlives the receiver aliased to it, so walking
+    # the steps backwards finds its join already resolved
+    for step in reversed(trace.steps):
+        first, second = step.pair
+        if step.answer == QuartetType.BOTH_ABOVE:
+            joins[first] = joins[second]
+        else:
+            joins[step.deleted_receiver] = step.deleted_edge
 
     return InferenceResult(
         joins=JoiningConfig({r: joins[r] for r in tree.receivers}),

@@ -13,8 +13,8 @@ class Step:
     """One query and what it did.
 
     REA fills in its surgery: the receiver it cut off, that receiver's
-    leaf edge, and the edge a contraction removed (None when nothing was
-    contracted).  GBS leaves all three None.
+    leaf edge, and the edge that went when the cut spliced out the
+    parent (None when nothing was spliced).  GBS leaves all three None.
     """
 
     pair: Pair

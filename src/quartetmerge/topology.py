@@ -110,7 +110,6 @@ class LogicalTree:
         "_rindex",
         "_leaf_pos",
         "_leaf_at",
-        "_adj_node",
         "_adj_list",
         "_sparse",
         "_span_lo",
@@ -233,33 +232,26 @@ class LogicalTree:
         except KeyError:
             raise InvalidTree(f"no edge labelled {label!r}") from None
 
-    def edge_depth(self, label: str) -> int:
-        """Depth of the edge's child endpoint."""
-        return self._depth[self._edge_child(label)]
-
     def node_depth(self, node: str) -> int:
         return self._depth[node]
 
     # -- paths and ancestry ----------------------------------------------
 
-    def _label_path(self, v: str) -> tuple[str, ...]:
-        parent, labels = self._parent, self._labels
-        out = []
-        while v != self.root:
-            out.append(labels[v])
-            v = parent[v]
-        out.reverse()
-        return tuple(out)
-
     def root_path(self, r: str) -> tuple[str, ...]:
         """Edge labels from the root down to receiver ``r``."""
         self.receiver_index(r)
-        return self._label_path(r)
+        parent, labels = self._parent, self._labels
+        out = []
+        while r != self.root:
+            out.append(labels[r])
+            r = parent[r]
+        out.reverse()
+        return tuple(out)
 
     def _ensure_lca(self) -> None:
         if self._leaf_pos is not None:
             return
-        # The preorder yields the planar leaf order, the lca of each
+        # The preorder yields the planar leaf order, the lca depth of each
         # adjacent leaf pair and the leaf-position span of every node.
         # lca of any receiver pair is then a range-min over the
         # adjacent-lca depths.
@@ -270,9 +262,9 @@ class LogicalTree:
 
         # After a leaf in preorder comes the next sibling of the leaf or of
         # one of its ancestors; that node's parent is where the leaf and
-        # the next leaf branch apart.
+        # the next leaf branch apart; its depth is the pair's lca depth.
         leaf_at: list[str] = []
-        adj_node: list[str] = []
+        adj: list[int] = []
         internal: list[str] = []
         span_lo: dict[str, int] = {}
         last = len(order) - 1
@@ -283,7 +275,7 @@ class LogicalTree:
             else:
                 leaf_at.append(u)
                 if t < last:
-                    adj_node.append(parent[order[t + 1]])
+                    adj.append(depth[parent[order[t + 1]]])
         # a leaf's span is its own position; an internal node's span ends
         # where its last child's does, and reverse preorder visits that
         # child first
@@ -293,10 +285,9 @@ class LogicalTree:
         # tuples, like the preorder: the cyclic collector stops tracking a
         # tuple of strings or ints once it has seen it, so full collections
         # skip them, while a list would be rescanned every time
-        adj_list = tuple([depth[b] for b in adj_node])
+        adj_list = tuple(adj)
         self._leaf_pos = dict(zip(leaf_at, range(len(leaf_at))))
         self._leaf_at = tuple(leaf_at)
-        self._adj_node = tuple(adj_node)
         self._adj_list = adj_list
         self._span_lo = span_lo
         self._span_hi = span_hi
@@ -345,11 +336,6 @@ class LogicalTree:
             return pj, pi
         return pi, pj
 
-    def lca(self, ri: str, rj: str) -> str:
-        """Lowest common ancestor (the pair's branching point)."""
-        pi, pj = self._pair_positions(ri, rj)
-        return self._adj_node[self._adj_argmin(pi, pj - 1)]
-
     def lca_depth(self, ri: str, rj: str) -> int:
         pi, pj = self._pair_positions(ri, rj)
         return self._adj_list[self._adj_argmin(pi, pj - 1)]
@@ -364,10 +350,6 @@ class LogicalTree:
         v = self._edge_child(label)
         self._ensure_lca()
         return self._covers(v, r)
-
-    def common_prefix(self, ri: str, rj: str) -> tuple[str, ...]:
-        """Shared root-path edges of the pair, ordered root to branch point."""
-        return self._label_path(self.lca(ri, rj))
 
     # -- comparison -------------------------------------------------------
 
@@ -593,20 +575,6 @@ def _classify(
     if above2:
         return QuartetType.SECOND_ABOVE
     return QuartetType.BOTH_BELOW
-
-
-def _quartet_type_raw(
-    tree: LogicalTree, joins: Mapping[str, str], first: str, second: str
-) -> QuartetType:
-    # Shared by the exhaustive tools, which classify against many
-    # configurations without building a GroundTruth (and its validity
-    # check) per candidate.
-    branch_depth = tree.lca_depth(first, second)
-    e1 = joins[first]
-    e2 = joins[second]
-    return _classify(
-        first, second, e1, e2, tree.edge_depth(e1), tree.edge_depth(e2), branch_depth
-    )
 
 
 def quartet_type(gt: "GroundTruth", first: str, second: str) -> QuartetType:

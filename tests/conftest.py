@@ -13,7 +13,9 @@ def three_fork_tree() -> LogicalTree:
 
     A root edge feeds a 3-way fork: receiver r1, a nested pair (r2, r3),
     and receiver r4.  Small enough to reason about by hand, rich enough
-    to exercise every quartet type and both surgery operations.
+    to exercise every quartet type and both kinds of splice: a cut that
+    leaves the surviving leaf its own edge and one that hands it the
+    parent's.
     """
     return LogicalTree(
         "s1",

@@ -53,16 +53,6 @@ def ref_lca_depth(tree, ri: str, rj: str) -> int:
     return depth
 
 
-def ref_common_prefix(tree, ri: str, rj: str) -> list[str]:
-    pi, pj = ref_root_path(tree, ri), ref_root_path(tree, rj)
-    out = []
-    for a, b in zip(pi, pj):
-        if a != b:
-            break
-        out.append(a)
-    return out
-
-
 def ref_edge_depth(tree, label: str) -> int:
     pm = parent_map(tree)
     for child, (_, lab) in pm.items():
@@ -297,6 +287,92 @@ def ref_gbs(tree, oracle, propagate_equalities: bool = False) -> RefGbsRun:
 
     joins = {r: ref_root_path(tree, r)[state.lo[k] - 1] for k, r in enumerate(rec)}
     return RefGbsRun(steps=steps, queries_used=len(cache), joins=joins)
+
+
+@dataclass
+class RefReaRun:
+    """What the reference elimination did: every step as (pair, answer,
+    deleted receiver, deleted edge, contracted edge), the type-1 aliases,
+    and the map it read off."""
+
+    steps: list[tuple[tuple[str, str], int, str, str, str | None]]
+    aliases: dict[str, str]
+    joins: dict[str, str]
+    queries_used: int
+
+
+def ref_rea(tree, oracle) -> RefReaRun:
+    """Receiver elimination on a plain child -> parent map.
+
+    Each step takes the deepest remaining receiver, lowest index first,
+    and its lowest-index sibling leaf, and asks about the pair in index
+    order.  Type 1 deletes the first and aliases it to the second, type 3
+    deletes the first, types 2 and 4 delete the second.  If the deletion
+    leaves a non-root parent p with one child, p is contracted: on type 4
+    p merges into its own parent and p's edge label disappears, on any
+    other answer the surviving leaf takes p's place and label and its own
+    label disappears.  Depths and children are recomputed from the map
+    every time.
+    """
+    pm = parent_map(tree)
+    parent = {c: p for c, (p, _) in pm.items()}
+    label = {c: lab for c, (_, lab) in pm.items()}
+    root = tree.root
+    rec = list(tree.receivers)
+    live = list(rec)
+    steps = []
+    aliases: dict[str, str] = {}
+    joins: dict[str, str] = {}
+
+    def kids(v):
+        return [c for c in parent if parent[c] == v]
+
+    def depth(v):
+        d = 0
+        while v != root:
+            v = parent[v]
+            d += 1
+        return d
+
+    while len(live) > 1:
+        first = max(live, key=lambda r: (depth(r), -rec.index(r)))
+        p = parent[first]
+        second = min((c for c in kids(p) if c != first and not kids(c)), key=rec.index)
+        pair = tuple(sorted((first, second), key=rec.index))
+        answer = int(oracle.query(*pair).qtype)
+        if answer == 1:
+            aliases[pair[0]] = pair[1]
+        deleted, survivor = pair if answer in (1, 3) else pair[::-1]
+        deleted_edge = label.pop(deleted)
+        del parent[deleted]
+        live.remove(deleted)
+        contracted = None
+        if p != root and len(kids(p)) == 1:
+            q = parent.pop(p)
+            if answer == 4:
+                contracted = label.pop(p)
+                for c in kids(q):
+                    parent[c] = p
+                if q == root:
+                    root = p
+                else:
+                    parent[p] = parent.pop(q)
+                    label[p] = label.pop(q)
+            else:
+                contracted = label[survivor]
+                label[survivor] = label.pop(p)
+                parent[survivor] = q
+        steps.append((pair, answer, deleted, deleted_edge, contracted))
+        if answer != 1:
+            joins[deleted] = deleted_edge
+
+    joins[live[0]] = label[live[0]]
+    for r in rec:
+        t = r
+        while t not in joins:
+            t = aliases[t]
+        joins[r] = joins[t]
+    return RefReaRun(steps=steps, aliases=aliases, joins=joins, queries_used=len(steps))
 
 
 class _RefState:

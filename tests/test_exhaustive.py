@@ -7,8 +7,10 @@ import pytest
 from quartetmerge import (
     GroundTruth,
     InsufficientReceivers,
+    InvalidConfiguration,
     JoiningConfig,
     LogicalTree,
+    MisplacedJoin,
     QuartetType,
     TooLarge,
     all_pairs,
@@ -189,3 +191,34 @@ class TestMinimums:
         assert min_quartets(tree, config) == 0
         assert min_quartets(tree, config, mode="deduction") == 0
         assert min_quartets_all(tree) == [0]
+
+
+class TestInvalidMaps:
+    """Every exhaustive entry point checks the map it is handed."""
+
+    @staticmethod
+    def maps():
+        tree = make_tree("perfect_binary", 4)
+        leaf = {r: tree.root_path(r)[-1] for r in tree.receivers}
+        misplaced = {**leaf, "r1": leaf["r4"]}
+        missing = {r: e for r, e in leaf.items() if r != "r4"}
+        # e1 and r1's e2 both lie on the shared prefix of (r1, r2)
+        clashing = {**leaf, "r1": tree.root_path("r1")[1], "r2": tree.root_path("r2")[0]}
+        return tree, [
+            (misplaced, MisplacedJoin),
+            (missing, MisplacedJoin),
+            (clashing, InvalidConfiguration),
+        ]
+
+    @pytest.mark.parametrize("mode", ["elimination", "deduction"])
+    def test_entry_points_raise_on_an_invalid_map(self, mode):
+        tree, cases = self.maps()
+        pairs = [("r1", "r2"), ("r3", "r4")]
+        for joins, error in cases:
+            config = JoiningConfig(joins)
+            with pytest.raises(error):
+                identifies(tree, pairs, config, mode=mode)
+            with pytest.raises(error):
+                min_identifying_set(tree, config, mode=mode)
+            with pytest.raises(error):
+                min_quartets(tree, config, mode=mode)

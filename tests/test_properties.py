@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from quartetmerge import (
     LogicalTree,
     NoiseSpec,
     Oracle,
+    OracleAnswer,
     QuartetMergeError,
     QuartetType,
     identifies,
@@ -29,6 +31,7 @@ from reference import (
     ref_is_valid,
     ref_lca_depth,
     ref_quartet_type,
+    ref_rea,
     ref_root_path,
 )
 
@@ -152,6 +155,44 @@ def test_rea_recovers_in_exactly_n_minus_one(inst):
     res = run_rea(tree, ExactOracle(GroundTruth(tree, config)))
     assert res.matches(config)
     assert res.queries_used == tree.n_receivers - 1
+
+
+class _ArbitraryOracle:
+    """Answers every query with a seeded, uniformly drawn type."""
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+
+    def query(self, ri: str, rj: str) -> OracleAnswer:
+        return OracleAnswer(pair=(ri, rj), qtype=QuartetType(self._rng.randrange(1, 5)))
+
+
+@given(
+    trees(max_receivers=10),
+    st.sampled_from(["exact", "noisy", "arbitrary"]),
+    st.integers(0, 2**16),
+)
+@settings(deadline=None)
+def test_rea_matches_the_contraction_reference(tree, kind, seed):
+    # the reference picks, deletes and contracts on a plain parent map;
+    # the package must make the same queries and the same surgery
+    gt = GroundTruth(tree, random_config(tree, seed))
+
+    def oracle():
+        if kind == "exact":
+            return Oracle(gt)
+        if kind == "noisy":
+            return Oracle(gt, NoiseSpec(p=0.2, seed=seed))
+        return _ArbitraryOracle(seed)
+
+    res, ref = run_rea(tree, oracle()), ref_rea(tree, oracle())
+    assert [
+        (s.pair, int(s.answer), s.deleted_receiver, s.deleted_edge, s.contracted_edge)
+        for s in res.trace.steps
+    ] == ref.steps
+    assert res.trace.aliases == ref.aliases
+    assert dict(res.joins) == ref.joins
+    assert res.queries_used == ref.queries_used == tree.n_receivers - 1
 
 
 @given(valid_instances(), st.booleans())

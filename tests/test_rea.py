@@ -53,17 +53,42 @@ def test_worked_example_full_trace(three_fork_tree, three_fork_config):
 
 def test_initial_pick_is_deepest_then_lowest_sibling(three_fork_tree):
     wt = WorkingTree(three_fork_tree)
-    assert pick_siblings(wt) == ("r2", "r3", "b23")
+    assert pick_siblings(wt) == ("r2", "r3")
 
 
 def test_contract_inherits_parent_edge_label(three_fork_tree):
     wt = WorkingTree(three_fork_tree)
-    wt.delete_leaf("r2")
-    assert wt.out_degree("b23") == 1
-    removed = wt.contract_leaf_edge("b23", "r3")
+    removed = wt.cut("r2", "r3", keep_leaf_edge=False)
     assert removed == "e6"
-    assert wt.leaf_label("r3") == "e3"
+    assert wt.labels["r3"] == "e3"
+    assert wt.parent["r3"] == "b14"
+    assert wt.children["b14"] == ["r1", "r3", "r4"]
     assert wt.depth["r3"] == 2
+    assert "r2" not in wt.parent and "b23" not in wt.children
+
+
+def test_cut_keeping_the_leaf_edge_drops_the_parent_label(three_fork_tree):
+    wt = WorkingTree(three_fork_tree)
+    removed = wt.cut("r2", "r3", keep_leaf_edge=True)
+    assert removed == "e3"
+    assert wt.labels["r3"] == "e6"
+    assert wt.parent["r3"] == "b14"
+    assert wt.children["b14"] == ["r1", "r3", "r4"]
+    assert wt.depth["r3"] == 2
+    assert "b23" not in wt.labels
+
+
+def test_cut_splices_nothing_under_the_root_or_a_fork():
+    tree = LogicalTree("s", [("s", "a", "e1"), ("s", "b", "e2")], ["a", "b"])
+    wt = WorkingTree(tree)
+    assert wt.cut("a", "b", keep_leaf_edge=False) is None
+    assert wt.children["s"] == ["b"]
+    assert (wt.parent["b"], wt.labels["b"], wt.depth["b"]) == ("s", "e2", 1)
+    assert "a" not in wt.parent
+
+    fork = WorkingTree(make_tree("star", 3))
+    assert fork.cut("r1", "r2", keep_leaf_edge=True) is None
+    assert fork.children[fork.parent["r2"]] == ["r2", "r3"]
 
 
 def test_two_receivers_take_one_query():

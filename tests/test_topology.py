@@ -23,7 +23,6 @@ from quartetmerge import (
 )
 from quartetmerge.topology import PlacementScan
 from reference import (
-    ref_common_prefix,
     ref_enumerate,
     ref_is_valid,
     ref_lca_depth,
@@ -97,15 +96,14 @@ def test_lca_and_prefix_match_reference(shape, size):
     for ri, rj in itertools.combinations(tree.receivers, 2):
         assert tree.lca_depth(ri, rj) == ref_lca_depth(tree, ri, rj)
         assert tree.lca_depth(rj, ri) == ref_lca_depth(tree, ri, rj)
-        assert list(tree.common_prefix(ri, rj)) == ref_common_prefix(tree, ri, rj)
 
 
 def test_lca_rejects_equal_and_unknown_receivers():
     tree = make_tree("star", 3)
     with pytest.raises(SameReceiver):
-        tree.lca("r1", "r1")
+        tree.lca_depth("r1", "r1")
     with pytest.raises(UnknownReceiver):
-        tree.lca("r1", "nope")
+        tree.lca_depth("r1", "nope")
 
 
 def test_on_root_path(three_fork_tree):
