@@ -7,10 +7,17 @@ names.  The next pair to query is the one minimizing the worst-case
 surviving fraction of candidates over the four possible answers, with the
 benefit ratios of one pair sharing a denominator |P_i||P_j|.
 
-Selection arithmetic is exact.  The selection loop compares num/den in
-float64, which is exact here because distinct rationals with numerator and
-denominator below 2**26 cannot collide in double precision (root paths are
-far shorter than that).
+The search keeps every pair's worst case in one array and, after an
+answer, recomputes only the pairs that touch a receiver whose interval
+changed: two receivers, or one equality group.  Each pair's entry comes
+from the same float64 arithmetic whether it is refreshed or computed
+afresh, so the cache holds exactly what a full rescan would.
+
+Selection arithmetic is exact.  Worst cases are compared as num/den in
+float64, and distinct rationals with numerator and denominator below
+2**26 cannot collide in double precision.  The denominator is
+|P_i||P_j|, so this holds while every interval has fewer than 2**13
+edges.
 
 Type-1 answers assert that two joins coincide.  By default that equality
 is not folded back into the intervals; ``propagate_equalities`` links the
@@ -21,37 +28,53 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InconsistentAnswer, InsufficientReceivers, Stalled
+from .errors import InconsistentAnswer, InsufficientReceivers, SameReceiver, Stalled
 from .oracle import Pair
 from .results import InferenceResult, Step, Trace
 from .topology import JoiningConfig, LogicalTree, QuartetType
 
+# pairs per block when every pair is computed at once, which bounds the
+# temporaries of the set-up to a few hundred KiB at any receiver count
+_BLOCK = 4096
+
 
 class CandidateState:
-    """Candidate intervals, the pairs asked so far, and optional
-    equality groups.
+    """Candidate intervals, each pair's cached worst case, the pairs asked
+    so far, and optional equality groups.
 
     Intervals are stored as inclusive edge-depth bounds (lo, hi) into each
     receiver's root path; a receiver is resolved when lo == hi.  Receivers
     whose root path is a single edge start resolved at zero cost.
+
+    Pairs (i, j), i < j, are numbered in nested-loop order; ``I``, ``J``
+    and ``branch_depth`` (the depth where the two root paths part) are
+    int32 arrays over that numbering.  ``wc`` holds each pair's worst-case
+    surviving fraction, and ``inf`` for a pair that is asked or whose
+    receivers are both resolved.  It is current except for the pairs that
+    touch a receiver in ``_changed``, which ``select_quartet`` refreshes.
     """
 
     def __init__(self, tree: LogicalTree, propagate_equalities: bool = False):
         n = tree.n_receivers
         self.tree = tree
         self.propagate = propagate_equalities
-        self.pathlen = np.array(
-            [tree.node_depth(r) for r in tree.receivers], dtype=np.int64
-        )
         self.lo = np.ones(n, dtype=np.int64)
-        self.hi = self.pathlen.copy()
-        self.I, self.J = (a.astype(np.int64) for a in np.triu_indices(n, k=1))
-        rec = tree.receivers
-        self.branch_depth = np.array(
-            [tree.lca_depth(rec[i], rec[j]) for i, j in zip(self.I, self.J)],
-            dtype=np.int64,
-        )
-        self.asked = np.zeros(len(self.I), dtype=bool)
+        self.hi = np.array([tree.node_depth(r) for r in tree.receivers], dtype=np.int64)
+        # pair (i, j) sits at col_base[i] + j, so row i runs from
+        # col_base[i] + i + 1 to col_base[i] + n - 1
+        counts = np.arange(n - 1, -1, -1)
+        self._col_base = np.cumsum(counts) - counts - np.arange(n) - 1
+        m = n * (n - 1) // 2
+        self.I = np.repeat(np.arange(n, dtype=np.int32), counts)
+        self.J = np.arange(m, dtype=np.int32)
+        self.J -= np.repeat(self._col_base.astype(np.int32), counts)
+        self.branch_depth = _branch_depths(tree, self.I, self.J)
+        self.asked = np.zeros(m, dtype=bool)
+        self.wc = np.empty(m)
+        for s in range(0, m, _BLOCK):
+            block = slice(s, s + _BLOCK)
+            self.wc[block] = _worst_cases(self, block)
+        self._changed: set[int] = set()
         self._uf = list(range(n))
         self._members = {k: [k] for k in range(n)}
 
@@ -71,9 +94,11 @@ class CandidateState:
     def unresolved(self) -> list[str]:
         return [r for k, r in enumerate(self.tree.receivers) if self.lo[k] != self.hi[k]]
 
-    def _pair_index(self, i: int, j: int) -> int:
-        n = self.tree.n_receivers
-        return i * n - i * (i + 1) // 2 + (j - i - 1)
+    def _set_interval(self, k: int, lo: int, hi: int) -> None:
+        if self.lo[k] != lo or self.hi[k] != hi:
+            self.lo[k] = lo
+            self.hi[k] = hi
+            self._changed.add(k)
 
     # -- equality groups ----------------------------------------------------
 
@@ -94,8 +119,7 @@ class CandidateState:
         if glo > ghi:
             raise InconsistentAnswer("equality group intersected to nothing")
         for m in members:
-            self.lo[m] = glo
-            self.hi[m] = ghi
+            self._set_interval(m, glo, ghi)
 
     def _union(self, i: int, j: int) -> None:
         ri, rj = self._find(i), self._find(j)
@@ -107,26 +131,39 @@ class CandidateState:
         self._members[ri].extend(self._members.pop(rj))
 
 
-def select_quartet(state: CandidateState) -> Pair | None:
-    """Eligible pair with the minimum worst-case surviving fraction.
+def _branch_depths(tree: LogicalTree, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """lca depth of every pair (I[p], J[p]), read from the tree's range-min
+    table: the pairs of one block are grouped by the table level their
+    planar span needs, and each group is two gathers and a minimum."""
+    tree._ensure_lca()
+    pos = np.array([tree._leaf_pos[r] for r in tree.receivers], dtype=np.int32)
+    adj = np.array(tree._adj_list, dtype=np.int32)
+    out = np.empty(len(I), dtype=np.int32)
+    for s in range(0, len(I), _BLOCK):
+        pi, pj = pos[I[s : s + _BLOCK]], pos[J[s : s + _BLOCK]]
+        # the adjacent-lca depths lo .. hi-1 span the pair
+        lo = np.minimum(pi, pj)
+        hi = np.maximum(pi, pj)
+        level = np.frexp(hi - lo)[1] - 1
+        for k, table in enumerate(tree._sparse):
+            sel = np.flatnonzero(level == k)
+            if sel.size:
+                a = adj[table[lo[sel]]]
+                b = adj[table[hi[sel] - (1 << k)]]
+                out[s + sel] = np.minimum(a, b)
+    return out
 
-    Skips pairs whose receivers are both resolved, and pairs already
-    asked: an answer leaves both intervals inside the halves it names and
-    later updates only narrow them, so asking again would shrink nothing.
-    Ties break in nested-loop order (ascending first index, then second),
-    so argmin's first-minimum rule matches the enumeration exactly.
-    Returns None when nothing is eligible.
-    """
-    I, J, d = state.I, state.J, state.branch_depth
+
+def _worst_cases(state: CandidateState, sel) -> np.ndarray:
+    """Worst-case surviving fraction of the pairs at ``sel`` (a slice or an
+    index array), ``inf`` where a pair is asked or both its receivers are
+    resolved."""
+    I, J, d = state.I[sel], state.J[sel], state.branch_depth[sel]
     loi, hii = state.lo[I], state.hi[I]
     loj, hij = state.lo[J], state.hi[J]
     si = hii - loi + 1
     sj = hij - loj + 1
-
-    eligible = ((si > 1) | (sj > 1)) & ~state.asked
-    if not eligible.any():
-        return None
-
+    eligible = ((si > 1) | (sj > 1)) & ~state.asked[sel]
     up_i = np.clip(np.minimum(hii, d) - loi + 1, 0, None)
     dn_i = np.clip(hii - np.maximum(loi - 1, d), 0, None)
     up_j = np.clip(np.minimum(hij, d) - loj + 1, 0, None)
@@ -134,10 +171,43 @@ def select_quartet(state: CandidateState) -> Pair | None:
     # a type-1 answer puts both joins on one shared-prefix edge, so up_i
     # alone counts its surviving candidate pairs
     num = np.maximum.reduce([up_i, up_i * dn_j, dn_i * up_j, dn_i * dn_j])
-    wc = np.where(eligible, num / (si * sj), np.inf)
-    k = int(np.argmin(wc))
+    return np.where(eligible, num / (si * sj), np.inf)
+
+
+def select_quartet(state: CandidateState) -> Pair | None:
+    """Eligible pair with the minimum worst-case surviving fraction.
+
+    Skips pairs whose receivers are both resolved, and pairs already
+    asked: an answer leaves both intervals inside the halves it names and
+    later updates only narrow them, so asking again would shrink nothing.
+
+    First brings ``state.wc`` up to date.  A pair's worst case depends only
+    on its two intervals and whether it was asked, so only the pairs that
+    touch a receiver in ``state._changed`` are recomputed: receiver k's row
+    (k, j > k) and its column (i < k, k), gathered into one index array.
+    Ties break in nested-loop order (ascending first index, then second),
+    which is the cache's order, so argmin's first-minimum rule matches the
+    enumeration exactly.  Returns None when nothing is eligible.
+    """
+    wc = state.wc
+    if state._changed:
+        base, n = state._col_base, len(state.lo)
+        idx = np.concatenate(
+            [
+                part
+                for k in state._changed
+                for part in (np.arange(base[k] + k + 1, base[k] + n), base[:k] + k)
+            ]
+        )
+        wc[idx] = _worst_cases(state, idx)
+        state._changed.clear()
+    if not wc.size:
+        return None
+    p = int(np.argmin(wc))
+    if wc[p] == np.inf:
+        return None
     rec = state.tree.receivers
-    return rec[int(I[k])], rec[int(J[k])]
+    return rec[int(state.I[p])], rec[int(state.J[p])]
 
 
 def apply_update(state: CandidateState, pair: Pair, answer: QuartetType) -> None:
@@ -145,13 +215,18 @@ def apply_update(state: CandidateState, pair: Pair, answer: QuartetType) -> None
 
     The answer is read in the pair's given order: FIRST_ABOVE puts
     ``pair[0]``'s join above the branching point even when ``pair[0]`` has
-    the higher index.  Raises InconsistentAnswer when an interval would
-    come out empty, which cannot happen with an exact oracle.
+    the higher index.  Receivers whose interval moved go into
+    ``state._changed``, and the pair's cached worst case becomes ``inf``.
+    Raises InconsistentAnswer when an interval would come out empty, which
+    cannot happen with an exact oracle.
     """
     tree = state.tree
     i = tree.receiver_index(pair[0])
     j = tree.receiver_index(pair[1])
-    d = tree.lca_depth(pair[0], pair[1])
+    if i == j:
+        raise SameReceiver(f"need two distinct receivers, got {pair[0]!r} twice")
+    p = int(state._col_base[min(i, j)]) + max(i, j)
+    d = int(state.branch_depth[p])
     halves = (
         (i, answer in (QuartetType.BOTH_ABOVE, QuartetType.FIRST_ABOVE)),
         (j, answer in (QuartetType.BOTH_ABOVE, QuartetType.SECOND_ABOVE)),
@@ -168,9 +243,9 @@ def apply_update(state: CandidateState, pair: Pair, answer: QuartetType) -> None
             )
         new.append((k, nlo, nhi))
     for k, nlo, nhi in new:
-        state.lo[k] = nlo
-        state.hi[k] = nhi
-    state.asked[state._pair_index(min(i, j), max(i, j))] = True
+        state._set_interval(k, nlo, nhi)
+    state.asked[p] = True
+    state.wc[p] = np.inf
     if state.propagate:
         if answer == QuartetType.BOTH_ABOVE:
             state._union(i, j)

@@ -26,6 +26,7 @@ def parse_topology(text: str) -> tuple[LogicalTree, JoiningConfig | None]:
     root_line = 0
     edges: list[tuple[str, str, str]] = []
     receivers: list[str] = []
+    seen: set[str] = set()
     joins: dict[str, str] = {}
     join_lines: dict[str, int] = {}
 
@@ -48,8 +49,9 @@ def parse_topology(text: str) -> tuple[LogicalTree, JoiningConfig | None]:
         elif kind == "receiver":
             if len(args) != 1:
                 raise ParseError("receiver takes exactly one node name", lineno)
-            if args[0] in receivers:
+            if args[0] in seen:
                 raise ParseError(f"receiver {args[0]!r} listed twice", lineno)
+            seen.add(args[0])
             receivers.append(args[0])
         elif kind == "join":
             if len(args) != 2:

@@ -58,6 +58,30 @@ class TestBenefits:
         assert quad.worst_case == Fraction(1, 1)
 
 
+class TestBranchDepths:
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            make_tree("star", 9),
+            # one level: every leaf hangs off the root, so every pair parts
+            # at depth 0 and the adjacent-lca table has one or two entries
+            LogicalTree("s1", [("s1", "r1", "e1"), ("s1", "r2", "e2")], ["r1", "r2"]),
+            LogicalTree(
+                "s1",
+                [("s1", "r1", "e1"), ("s1", "r2", "e2"), ("s1", "r3", "e3")],
+                ["r3", "r1", "r2"],
+            ),
+        ],
+        ids=["star", "one-level-2", "one-level-3"],
+    )
+    def test_match_lca_depth(self, tree):
+        state = CandidateState(tree)
+        rec = tree.receivers
+        assert [int(d) for d in state.branch_depth] == [
+            tree.lca_depth(rec[i], rec[j]) for i, j in zip(state.I, state.J)
+        ]
+
+
 class TestSelection:
     def test_picks_minimum_worst_case(self, three_fork_tree):
         # worst cases on the fresh tree: (r2,r3) 2/9, (r1,r4) 1/4, rest 1/3

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from quartetmerge import (
@@ -26,6 +27,7 @@ from quartetmerge import (
     run_rea,
     serialize_topology,
 )
+from quartetmerge.gbs import CandidateState, _worst_cases, apply_update, select_quartet
 from reference import (
     ref_gbs,
     ref_is_valid,
@@ -236,6 +238,48 @@ def test_gbs_matches_the_answer_cache_reference(inst, propagate, noise):
     assert [(s.pair, int(s.answer)) for s in res.trace.steps] == ref.steps
     assert res.queries_used == ref.queries_used
     assert dict(res.joins) == ref.joins
+
+
+@given(
+    trees(max_receivers=10),
+    st.integers(0, 2**16),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(deadline=None)
+def test_gbs_worst_case_cache_matches_a_full_recompute(tree, seed, noisy, propagate):
+    # select_quartet refreshes only the pairs an answer touched; after
+    # every update the cache must hold, bit for bit, what recomputing
+    # every pair gives, and the pair it returns must be that array's
+    # first minimum
+    gt = GroundTruth(tree, random_config(tree, seed))
+    oracle = Oracle(gt, NoiseSpec(p=0.1, seed=seed) if noisy else None)
+    state = CandidateState(tree, propagate)
+    while not state.all_resolved():
+        pair = select_quartet(state)
+        full = _worst_cases(state, slice(None))
+        assert np.array_equal(state.wc, full)
+        if pair is None:
+            assert np.all(full == np.inf)
+            return
+        p = int(np.argmin(full))
+        rec = tree.receivers
+        assert pair == (rec[state.I[p]], rec[state.J[p]])
+        try:
+            apply_update(state, pair, oracle.query(*pair).qtype)
+        except QuartetMergeError:
+            return
+
+
+@given(trees(max_receivers=12))
+@settings(deadline=None)
+def test_gbs_branch_depths_match_lca_depth(tree):
+    state = CandidateState(tree)
+    rec = tree.receivers
+    assert state.branch_depth.dtype == np.int32
+    assert [int(d) for d in state.branch_depth] == [
+        tree.lca_depth(rec[i], rec[j]) for i, j in zip(state.I, state.J)
+    ]
 
 
 @given(valid_instances())

@@ -14,6 +14,11 @@ noisy oracle and digest every query's (pair, answer, probes) plus the
 outcome.  Their values were recorded from the implementation that had one
 oracle class per noise mode (exact, substitution noise, majority vote),
 so they pin the random stream each noise spec draws.
+
+The GBS cases run the search with an exact oracle at the sizes where its
+per-pair worst-case cache matters, and digest every step's (pair, answer)
+plus the joins read off.  Their values were recorded from the
+implementation that rescanned every pair at every step.
 """
 
 from __future__ import annotations
@@ -156,3 +161,26 @@ def test_noisy_streams_are_frozen(algo, shape, p, repeats, seed):
     text = "\n".join(oracle.log + [outcome])
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert digest == NOISY[algo, shape, p, repeats, seed]
+
+
+# (shape, size, seed, propagate_equalities) -> digest, with the query
+# count as a comment
+GBS = {
+    ("perfect_binary", 512, 0, True): "4ed9080ccff2d512",  # 655 q
+    ("tall_binary", 128, 3, False): "c4854528e38fd582",  # 1078 q
+    ("star", 256, 1, True): "6b486d5d7c53c56f",  # 128 q
+}
+
+
+@pytest.mark.parametrize("shape, size, seed, propagate", sorted(GBS))
+def test_gbs_runs_are_frozen(shape, size, seed, propagate):
+    tree = make_tree(shape, size)
+    config = random_config(tree, seed)
+    result = run_gbs(
+        tree, ExactOracle(GroundTruth(tree, config)), propagate_equalities=propagate
+    )
+    assert result.matches(config)
+    lines = [f"{s.pair[0]} {s.pair[1]} {int(s.answer)}" for s in result.trace.steps]
+    lines += [f"{r} {e}" for r, e in result.joins.items()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == GBS[shape, size, seed, propagate]

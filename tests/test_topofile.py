@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from quartetmerge import (
@@ -148,3 +150,19 @@ def test_refuses_to_serialize_invalid_config(three_fork_tree):
     bad = JoiningConfig({"r1": "e2", "r2": "e1", "r3": "e3", "r4": "e4"})
     with pytest.raises(InvalidConfiguration):
         serialize_topology(three_fork_tree, bad)
+
+
+def test_parsing_is_linear_in_the_receiver_count():
+    # a star file lists one receiver line per leaf; a duplicate check that
+    # scans the receivers read so far makes 4x the receivers cost about 16x
+    def best_of_three(n):
+        text = serialize_topology(make_tree("star", n))
+        times = []
+        for _ in range(3):
+            t = time.perf_counter()
+            parse_topology(text)
+            times.append(time.perf_counter() - t)
+        return min(times)
+
+    small, large = best_of_three(10_000), best_of_three(40_000)
+    assert large / small <= 8, (small, large)
