@@ -182,6 +182,20 @@ def identifies(
     return not (others == target).all(axis=1).any()
 
 
+def _subsets(m: int, max_subsets: int):
+    """Non-empty index subsets of range(m), breadth-first in size and in
+    combination order within a size.  Raises TooLarge when asked for one
+    more than ``max_subsets``.  The last subset of size k starts at m - k.
+    """
+    explored = 0
+    for k in range(1, m + 1):
+        for cols in combinations(range(m), k):
+            explored += 1
+            if explored > max_subsets:
+                raise TooLarge(f"subset search exceeded the cap {max_subsets}")
+            yield cols
+
+
 def min_identifying_set(
     tree: LogicalTree,
     config: JoiningConfig,
@@ -200,17 +214,13 @@ def min_identifying_set(
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     gt = GroundTruth(tree, config)  # raises on an invalid map
     pairs = all_pairs(tree)
-    explored = 0
     if mode == "deduction":
         if _deduction_identified(gt, []):
             return ()
-        for k in range(1, len(pairs) + 1):
-            for subset in combinations(pairs, k):
-                explored += 1
-                if explored > max_subsets:
-                    raise TooLarge(f"subset search exceeded the cap {max_subsets}")
-                if _deduction_identified(gt, list(subset)):
-                    return subset
+        for cols in _subsets(len(pairs), max_subsets):
+            subset = tuple(pairs[c] for c in cols)
+            if _deduction_identified(gt, list(subset)):
+                return subset
         raise StructuralViolation("the full pair set failed to pin the config")
     configs = enumerate_valid_configs(tree)
     if len(configs) == 1:
@@ -218,15 +228,11 @@ def min_identifying_set(
     matrix = _answer_matrix(tree, configs, pairs)
     row = configs.index(config)
     target = matrix[row]
-    for k in range(1, len(pairs) + 1):
-        for cols in combinations(range(len(pairs)), k):
-            explored += 1
-            if explored > max_subsets:
-                raise TooLarge(f"subset search exceeded the cap {max_subsets}")
-            sel = list(cols)
-            hits = (matrix[:, sel] == target[sel]).all(axis=1)
-            if int(hits.sum()) == 1:
-                return tuple(pairs[c] for c in cols)
+    for cols in _subsets(len(pairs), max_subsets):
+        sel = list(cols)
+        hits = (matrix[:, sel] == target[sel]).all(axis=1)
+        if int(hits.sum()) == 1:
+            return tuple(pairs[c] for c in cols)
     raise StructuralViolation("the full pair set failed to identify a valid config")
 
 
@@ -242,7 +248,9 @@ def min_quartets_all(
 
     Under elimination each subset is evaluated against all configurations
     at once, which is far cheaper than per-configuration searches on the
-    same tree; deduction falls back to the per-configuration search.
+    same tree; deduction falls back to the per-configuration search.  The
+    search stops at the end of the first size level that leaves every
+    configuration identified.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -257,19 +265,16 @@ def min_quartets_all(
         return [0]
     matrix = _answer_matrix(tree, configs, pairs)
     result = np.full(len(configs), -1, dtype=np.int64)
-    explored = 0
-    for k in range(1, len(pairs) + 1):
-        for cols in combinations(range(len(pairs)), k):
-            explored += 1
-            if explored > max_subsets:
-                raise TooLarge(f"subset search exceeded the cap {max_subsets}")
-            sub = matrix[:, list(cols)]
-            _, inverse, counts = np.unique(
-                sub, axis=0, return_inverse=True, return_counts=True
-            )
-            unique_row = counts[inverse] == 1
-            result[unique_row & (result < 0)] = k
-        if not (result < 0).any():
+    m = len(pairs)
+    for cols in _subsets(m, max_subsets):
+        k = len(cols)
+        sub = matrix[:, list(cols)]
+        _, inverse, counts = np.unique(
+            sub, axis=0, return_inverse=True, return_counts=True
+        )
+        unique_row = counts[inverse] == 1
+        result[unique_row & (result < 0)] = k
+        if cols[0] == m - k and not (result < 0).any():
             break
     if (result < 0).any():
         raise StructuralViolation("some valid configs were never identified")

@@ -68,14 +68,16 @@ class CandidateState:
         self.I = np.repeat(np.arange(n, dtype=np.int32), counts)
         self.J = np.arange(m, dtype=np.int32)
         self.J -= np.repeat(self._col_base.astype(np.int32), counts)
-        self.branch_depth = _branch_depths(tree, self.I, self.J)
+        self.branch_depth = np.empty(m, dtype=np.int32)
         self.asked = np.zeros(m, dtype=bool)
         self.wc = np.empty(m)
         for s in range(0, m, _BLOCK):
             block = slice(s, s + _BLOCK)
+            self.branch_depth[block] = tree._lca_depths(self.I[block], self.J[block])
             self.wc[block] = _worst_cases(self, block)
         self._changed: set[int] = set()
-        self._uf = list(range(n))
+        # receiver -> equality group id, and each group's receivers
+        self._group = list(range(n))
         self._members = {k: [k] for k in range(n)}
 
     # -- plain views -------------------------------------------------------
@@ -102,16 +104,8 @@ class CandidateState:
 
     # -- equality groups ----------------------------------------------------
 
-    def _find(self, k: int) -> int:
-        uf = self._uf
-        while uf[k] != k:
-            uf[k] = uf[uf[k]]
-            k = uf[k]
-        return k
-
     def _sync_group(self, k: int) -> None:
-        root = self._find(k)
-        members = self._members[root]
+        members = self._members[self._group[k]]
         if len(members) == 1:
             return
         glo = max(int(self.lo[m]) for m in members)
@@ -122,36 +116,15 @@ class CandidateState:
             self._set_interval(m, glo, ghi)
 
     def _union(self, i: int, j: int) -> None:
-        ri, rj = self._find(i), self._find(j)
-        if ri == rj:
+        gi, gj = self._group[i], self._group[j]
+        if gi == gj:
             return
-        if len(self._members[ri]) < len(self._members[rj]):
-            ri, rj = rj, ri
-        self._uf[rj] = ri
-        self._members[ri].extend(self._members.pop(rj))
-
-
-def _branch_depths(tree: LogicalTree, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """lca depth of every pair (I[p], J[p]), read from the tree's range-min
-    table: the pairs of one block are grouped by the table level their
-    planar span needs, and each group is two gathers and a minimum."""
-    tree._ensure_lca()
-    pos = np.array([tree._leaf_pos[r] for r in tree.receivers], dtype=np.int32)
-    adj = np.array(tree._adj_list, dtype=np.int32)
-    out = np.empty(len(I), dtype=np.int32)
-    for s in range(0, len(I), _BLOCK):
-        pi, pj = pos[I[s : s + _BLOCK]], pos[J[s : s + _BLOCK]]
-        # the adjacent-lca depths lo .. hi-1 span the pair
-        lo = np.minimum(pi, pj)
-        hi = np.maximum(pi, pj)
-        level = np.frexp(hi - lo)[1] - 1
-        for k, table in enumerate(tree._sparse):
-            sel = np.flatnonzero(level == k)
-            if sel.size:
-                a = adj[table[lo[sel]]]
-                b = adj[table[hi[sel] - (1 << k)]]
-                out[s + sel] = np.minimum(a, b)
-    return out
+        if len(self._members[gi]) < len(self._members[gj]):
+            gi, gj = gj, gi
+        moved = self._members.pop(gj)
+        for m in moved:
+            self._group[m] = gi
+        self._members[gi].extend(moved)
 
 
 def _worst_cases(state: CandidateState, sel) -> np.ndarray:
@@ -275,12 +248,8 @@ def run_gbs(
         apply_update(state, pair, answer)
         trace.steps.append(Step(pair, answer))
 
-    joins = {
-        r: tree.root_path(r)[int(state.lo[k]) - 1]
-        for k, r in enumerate(tree.receivers)
-    }
     return InferenceResult(
-        joins=JoiningConfig(joins),
+        joins=JoiningConfig(tree._joins_at(state.lo.tolist())),
         queries_used=len(trace.steps),
         trace=trace,
     )

@@ -135,12 +135,11 @@ def random_config(tree: LogicalTree, seed: int) -> JoiningConfig:
     identical configurations.
     """
     rng = random.Random(seed)
-    tree._ensure_lca()
     depth = tree._depth
     # When index order is the planar leaf order, the nearest-blocker stack
     # answers the same constraints as the full scan in O(1) each.
     scan = _NearestBlockers(tree) if tree._planar else PlacementScan(tree)
-    chosen_depth: dict[str, int] = {}
+    chosen: list[int] = []
     for r in tree.receivers:
         blocked, exception = scan.allowed(r)
         n_choices = depth[r] - blocked + (1 if exception is not None else 0)
@@ -149,17 +148,6 @@ def random_config(tree: LogicalTree, seed: int) -> JoiningConfig:
             cd = exception
         else:
             cd = blocked + 1 + pick
-        chosen_depth[r] = cd
+        chosen.append(cd)
         scan.place(r, cd)
-
-    # Resolve chosen depths to edge labels by replaying the preorder: the
-    # edge at depth d overwrites slot d-1 of the current root path.
-    labels = tree._labels
-    children = tree._children
-    path = [""] * max(depth.values())
-    joins: dict[str, str] = {}
-    for v in tree._order[1:]:
-        path[depth[v] - 1] = labels[v]
-        if not children[v]:
-            joins[v] = path[chosen_depth[v] - 1]
-    return JoiningConfig({r: joins[r] for r in tree.receivers})
+    return JoiningConfig(tree._joins_at(chosen))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -92,10 +92,13 @@ class LogicalTree:
     mutate after construction and are safe to share.
 
     Every node has exactly one incoming edge, so edge labels are keyed by
-    their child endpoint.  The depth pass records the depth-first preorder
-    once; a range-min table over the planar leaf order is derived from it
-    lazily on the first ancestry query, making lca and edge-membership
-    checks O(1), which the oracles and samplers rely on at large N.
+    their child endpoint.  One depth-first preorder pass lays the tree out:
+    node depths, the preorder itself, the planar leaf order, the lca depth
+    of each adjacent leaf pair and the first leaf position under every
+    node.  The constructor then closes each node's span of leaf positions
+    and builds a sparse table of range minima over the adjacent-lca depths,
+    which makes lca and edge-membership checks O(1), as the oracles and
+    samplers need at large N.
     """
 
     __slots__ = (
@@ -126,7 +129,7 @@ class LogicalTree:
         parent: dict[str, str] = {}
         # a node's key sits where the node first appears in the edge list,
         # as parent or as child; leaves share the empty tuple, and child
-        # lists are frozen to tuples once the shape is checked
+        # lists are frozen to tuples by the preorder pass
         children: dict[str, list[str] | tuple[str, ...]] = {}
         labels: dict[str, str] = {}  # child -> label of its incoming edge
         by_label: dict[str, str] = {}  # label -> child
@@ -158,38 +161,67 @@ class LogicalTree:
         if root not in children:
             raise InvalidTree("root is not an endpoint of any edge")
 
-        # Depth pass in preorder, children left to right.  Every non-root
-        # node has one parent, so nothing reachable from the root repeats.
+        # Preorder pass, children left to right.  Every non-root node has
+        # one parent, so nothing reachable from the root repeats.  After a
+        # leaf comes the next sibling of the leaf or of one of its
+        # ancestors; that node's parent is where the leaf and the next leaf
+        # branch apart, so its depth is the pair's lca depth.
         depth: dict[str, int] = {root: 0}
         order: list[str] = []
+        leaf_at: list[str] = []
+        adj: list[int] = []
+        span_lo: dict[str, int] = {}
+        relays: set[str] = set()
+        after_leaf = False
         stack = [root]
         while stack:
             u = stack.pop()
             order.append(u)
+            span_lo[u] = len(leaf_at)
+            if after_leaf:
+                adj.append(depth[parent[u]])
             cs = children[u]
-            if cs:
-                du = depth[u] + 1
-                for c in cs:
-                    depth[c] = du
-                stack.extend(reversed(cs))
+            after_leaf = not cs
+            if after_leaf:
+                leaf_at.append(u)
+                continue
+            if len(cs) == 1 and u != root:
+                relays.add(u)
+            children[u] = tuple(cs)
+            du = depth[u] + 1
+            for c in cs:
+                depth[c] = du
+            stack.extend(reversed(cs))
         if len(depth) != len(children):
             raise InvalidTree("graph is not connected from the root")
-
-        leaves = set()
-        for u, cs in children.items():
-            if not cs:
-                leaves.add(u)
-            elif len(cs) == 1 and u != root:
-                raise InvalidTree(f"relay node {u!r} has out-degree 1")
-            else:
-                children[u] = tuple(cs)
+        if relays:
+            # name the relay that appears first in the edge list
+            first = next(u for u in children if u in relays)
+            raise InvalidTree(f"relay node {first!r} has out-degree 1")
 
         rec = tuple(receivers)
-        rec_set = set(rec)
-        if len(rec) != len(rec_set):
+        rindex = {r: k for k, r in enumerate(rec)}
+        if len(rindex) != len(rec):
             raise InvalidTree("duplicate receiver name")
-        if rec_set != leaves:
+        leaf_pos = dict(zip(leaf_at, range(len(leaf_at))))
+        if rindex.keys() != leaf_pos.keys():
             raise InvalidTree("receivers must name exactly the leaves")
+
+        # a leaf's span is its own position; an internal node's span ends
+        # where its last child's does, and reverse preorder visits that
+        # child first
+        span_hi = dict(span_lo)
+        for u in reversed(order):
+            cs = children[u]
+            if cs:
+                span_hi[u] = span_hi[cs[-1]]
+        # level k of the sparse table holds the minimum adjacent-lca depth
+        # of every run of 2**k consecutive leaf pairs
+        sparse = [np.array(adj, dtype=np.int32)]
+        half = 1
+        while len(sparse[-1]) > half:
+            sparse.append(np.minimum(sparse[-1][:-half], sparse[-1][half:]))
+            half *= 2
 
         self.root = root
         self.receivers = rec
@@ -198,9 +230,18 @@ class LogicalTree:
         self._labels = labels
         self._by_label = by_label
         self._depth = depth
+        # tuples: the cyclic collector stops tracking a tuple of strings or
+        # ints once it has seen it, so full collections skip them, while a
+        # list would be rescanned every time
         self._order = tuple(order)
-        self._rindex = {r: k for k, r in enumerate(rec)}
-        self._leaf_pos = None  # built by _ensure_lca
+        self._rindex = rindex
+        self._leaf_pos = leaf_pos
+        self._leaf_at = tuple(leaf_at)
+        self._adj_list = tuple(adj)
+        self._sparse = sparse
+        self._span_lo = span_lo
+        self._span_hi = span_hi
+        self._planar = self._leaf_at == rec
 
     # -- basic accessors -------------------------------------------------
 
@@ -248,83 +289,54 @@ class LogicalTree:
         out.reverse()
         return tuple(out)
 
-    def _ensure_lca(self) -> None:
-        if self._leaf_pos is not None:
-            return
-        # The preorder yields the planar leaf order, the lca depth of each
-        # adjacent leaf pair and the leaf-position span of every node.
-        # lca of any receiver pair is then a range-min over the
-        # adjacent-lca depths.
-        order = self._order
-        parent = self._parent
-        children = self._children
-        depth = self._depth
+    def _joins_at(self, depths: Sequence[int]) -> dict[str, str]:
+        """Label of the edge at depth ``depths[k]`` on receiver k's root
+        path, for every receiver k, keyed in receiver order.
 
-        # After a leaf in preorder comes the next sibling of the leaf or of
-        # one of its ancestors; that node's parent is where the leaf and
-        # the next leaf branch apart; its depth is the pair's lca depth.
-        leaf_at: list[str] = []
-        adj: list[int] = []
-        internal: list[str] = []
-        span_lo: dict[str, int] = {}
-        last = len(order) - 1
-        for t, u in enumerate(order):
-            span_lo[u] = len(leaf_at)
-            if children[u]:
-                internal.append(u)
-            else:
-                leaf_at.append(u)
-                if t < last:
-                    adj.append(depth[parent[order[t + 1]]])
-        # a leaf's span is its own position; an internal node's span ends
-        # where its last child's does, and reverse preorder visits that
-        # child first
-        span_hi = dict(span_lo)
-        for u in reversed(internal):
-            span_hi[u] = span_hi[children[u][-1]]
-        # tuples, like the preorder: the cyclic collector stops tracking a
-        # tuple of strings or ints once it has seen it, so full collections
-        # skip them, while a list would be rescanned every time
-        adj_list = tuple(adj)
-        self._leaf_pos = dict(zip(leaf_at, range(len(leaf_at))))
-        self._leaf_at = tuple(leaf_at)
-        self._adj_list = adj_list
-        self._span_lo = span_lo
-        self._span_hi = span_hi
-        self._planar = self._leaf_at == self.receivers
-        m = len(adj_list)
-        if m == 0:
-            self._sparse = []
-            return
-        # Sparse table of argmin positions into the adjacent-lca depths.
-        adj_depth = np.asarray(adj_list, dtype=np.int32)
-        levels = [np.arange(m, dtype=np.int32)]
-        half = 1
-        while 2 * half <= m:
-            prev = levels[-1]
-            a = prev[: m - 2 * half + 1]
-            b = prev[half : m - half + 1]
-            take_b = adj_depth[b] < adj_depth[a]
-            levels.append(np.where(take_b, b, a))
-            half *= 2
-        self._sparse = levels
+        Replays the preorder: the edge at depth d overwrites slot d-1 of
+        the current root path, so every leaf reads its label in O(1).
+        """
+        depth, labels, rindex = self._depth, self._labels, self._rindex
+        path = [""] * max(depth.values())
+        out = [""] * len(self.receivers)
+        for v in self._order[1:]:
+            path[depth[v] - 1] = labels[v]
+            k = rindex.get(v)
+            if k is not None:
+                out[k] = path[depths[k] - 1]
+        return dict(zip(self.receivers, out))
 
-    def _adj_argmin(self, lo: int, hi: int) -> int:
-        """Position of the minimum adjacent-lca depth in lo..hi, inclusive."""
+    def _range_min(self, lo: int, hi: int) -> int:
+        """Minimum adjacent-lca depth over planar positions lo..hi, inclusive."""
         k = (hi - lo + 1).bit_length() - 1
         level = self._sparse[k]
-        a = int(level[lo])
-        b = int(level[hi - (1 << k) + 1])
-        if self._adj_list[b] < self._adj_list[a]:
-            return b
-        return a
+        a = level[lo]
+        b = level[hi - (1 << k) + 1]
+        return int(a if a < b else b)
+
+    def _lca_depths(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """lca depth of every receiver pair (I[p], J[p]), given by receiver
+        index: the array form of _range_min, with the pairs grouped by the
+        table level their planar span needs.  Mapping the receivers to
+        planar positions costs O(N) per call, so callers pass a few
+        thousand pairs at a time, which also bounds the temporaries."""
+        rec = self.receivers
+        pos = np.fromiter(map(self._leaf_pos.__getitem__, rec), np.int32, len(rec))
+        pi, pj = pos[I], pos[J]
+        # the adjacent-lca depths lo .. hi-1 span the pair
+        lo = np.minimum(pi, pj)
+        hi = np.maximum(pi, pj)
+        level = np.frexp(hi - lo)[1] - 1
+        out = np.empty(len(lo), dtype=np.int32)
+        for k, table in enumerate(self._sparse):
+            sel = np.flatnonzero(level == k)
+            if sel.size:
+                out[sel] = np.minimum(table[lo[sel]], table[hi[sel] - (1 << k)])
+        return out
 
     def _pair_positions(self, ri: str, rj: str) -> tuple[int, int]:
         """Planar positions of two distinct receivers, in ascending order."""
         pos = self._leaf_pos
-        if pos is None:
-            self._ensure_lca()
-            pos = self._leaf_pos
         pi = pos.get(ri)
         pj = pos.get(rj)
         if pi is None or pj is None or pi == pj:
@@ -338,7 +350,7 @@ class LogicalTree:
 
     def lca_depth(self, ri: str, rj: str) -> int:
         pi, pj = self._pair_positions(ri, rj)
-        return self._adj_list[self._adj_argmin(pi, pj - 1)]
+        return self._range_min(pi, pj - 1)
 
     def _covers(self, v: str, r: str) -> bool:
         """True when receiver ``r`` lies in the subtree of node ``v``."""
@@ -348,7 +360,6 @@ class LogicalTree:
         """True when the labelled edge lies on ``r``'s root path."""
         self.receiver_index(r)
         v = self._edge_child(label)
-        self._ensure_lca()
         return self._covers(v, r)
 
     # -- comparison -------------------------------------------------------
@@ -395,7 +406,6 @@ class PlacementScan:
     """
 
     def __init__(self, tree: LogicalTree):
-        tree._ensure_lca()
         self.tree = tree
         self._positions: list[int] = []  # sorted planar positions of placed receivers
         self._cd_at: dict[int, int] = {}  # position -> join edge depth
@@ -407,7 +417,7 @@ class PlacementScan:
         while 0 <= idx < len(positions):
             q = positions[idx]
             lo, hi = (p, q - 1) if p < q else (q, p - 1)
-            branch_depth = tree._adj_list[tree._adj_argmin(lo, hi)]
+            branch_depth = tree._range_min(lo, hi)
             cd = self._cd_at[q]
             if cd <= branch_depth:
                 return branch_depth, cd
@@ -471,7 +481,6 @@ class _NearestBlockers:
     __slots__ = ("_adj", "_placed", "_branch", "_cd")
 
     def __init__(self, tree: LogicalTree):
-        tree._ensure_lca()
         self._adj = tree._adj_list
         self._placed = 0
         self._branch: list[int] = []
@@ -516,7 +525,6 @@ def _join_depths(
     receiver's root path.
     """
     joins = config.joins if isinstance(config, JoiningConfig) else config
-    tree._ensure_lca()
     by_label = tree._by_label
     depth = tree._depth
     depths = {}

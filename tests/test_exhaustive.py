@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from quartetmerge import (
@@ -178,6 +180,19 @@ class TestMinimums:
         assert batch == [min_quartets(tree, c) for c in configs]
         assert min(batch) >= 1
         assert lower_bound(size) <= max(batch) <= size - 1
+
+    @pytest.mark.parametrize("shape, size", [("star", 4), ("tall_binary", 4)])
+    def test_batch_cap_covers_whole_levels(self, shape, size):
+        # the batch search stops only at the end of the level that
+        # identifies the last configuration, so it needs every subset up to
+        # and including that level, and no more
+        tree = make_tree(shape, size)
+        batch = min_quartets_all(tree)
+        m = len(all_pairs(tree))
+        needed = sum(math.comb(m, k) for k in range(1, max(batch) + 1))
+        assert min_quartets_all(tree, max_subsets=needed) == batch
+        with pytest.raises(TooLarge):
+            min_quartets_all(tree, max_subsets=needed - 1)
 
     def test_subset_cap(self, leaf_joins_anchor):
         tree, config = leaf_joins_anchor

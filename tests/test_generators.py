@@ -111,7 +111,6 @@ def test_receiver_names_and_label_uniqueness(shape, size):
 def test_generated_trees_are_planar_in_index_order(shape, size):
     # the sampler's fast path relies on this invariant
     tree = make_tree(shape, size)
-    tree._ensure_lca()
     assert tree._planar
     assert tuple(tree._leaf_at) == tree.receivers
 
@@ -136,7 +135,6 @@ def test_random_config_varies_with_seed():
 def test_sampler_fast_path_matches_full_scan(shape, size, seed):
     fast = random_config(make_tree(shape, size), seed)
     slow_tree = make_tree(shape, size)
-    slow_tree._ensure_lca()
     slow_tree._planar = False
     assert random_config(slow_tree, seed) == fast
 
@@ -146,11 +144,9 @@ def test_sampler_fast_path_matches_full_scan(shape, size, seed):
 def test_sampler_fast_path_matches_full_scan_on_random_trees(tree, seed):
     # rebuild with the receivers in planar order, so the sampler may take
     # its nearest-blocker path; then force the full scan on a twin
-    tree._ensure_lca()
     fast_tree = LogicalTree(tree.root, tree.edges(), tree._leaf_at)
     fast = random_config(fast_tree, seed)
     assert fast_tree._planar
     slow_tree = LogicalTree(tree.root, tree.edges(), tree._leaf_at)
-    slow_tree._ensure_lca()
     slow_tree._planar = False
     assert random_config(slow_tree, seed) == fast

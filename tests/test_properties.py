@@ -282,6 +282,16 @@ def test_gbs_branch_depths_match_lca_depth(tree):
     ]
 
 
+@given(trees(max_receivers=10), st.data())
+@settings(deadline=None)
+def test_joins_at_reads_each_receivers_root_path(tree, data):
+    depths = [data.draw(st.integers(1, tree.node_depth(r))) for r in tree.receivers]
+    joins = tree._joins_at(depths)
+    assert list(joins) == list(tree.receivers)
+    for r, d in zip(tree.receivers, depths):
+        assert joins[r] == ref_root_path(tree, r)[d - 1]
+
+
 @given(valid_instances())
 @settings(deadline=None)
 def test_serialization_round_trip(inst):
