@@ -137,7 +137,8 @@ def random_config(tree: LogicalTree, seed: int) -> JoiningConfig:
     rng = random.Random(seed)
     depth = tree._depth
     # When index order is the planar leaf order, the nearest-blocker stack
-    # answers the same constraints as the full scan in O(1) each.
+    # answers the same constraints as PlacementScan in amortized O(1) each,
+    # against O(log N) for the scan's segment-tree descents.
     scan = _NearestBlockers(tree) if tree._planar else PlacementScan(tree)
     chosen: list[int] = []
     for r in tree.receivers:

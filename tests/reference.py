@@ -9,6 +9,7 @@ implementations against these.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,6 +98,75 @@ def ref_enumerate(tree) -> list[dict[str, str]]:
         if ref_is_valid(tree, joins):
             out.append(joins)
     return out
+
+
+class RefPlacementScan:
+    """Reference for PlacementScan: the same answers from an outward scan.
+
+    A receiver j blocks i exactly when j's join lies on the shared prefix
+    of i and j.  Among blockers on one side of i in planar leaf order the
+    nearest one has the deepest branching point, so an outward scan per
+    side finds the constraint, stepping over every placed receiver between
+    i and that blocker: O(N) per call.  Ties between the two sides go to
+    the left.  It reads the tree's planar positions and range minima,
+    which test_properties checks against ref_lca_depth.
+    """
+
+    def __init__(self, tree: LogicalTree):
+        self.tree = tree
+        self._positions: list[int] = []  # sorted planar positions of placed receivers
+        self._cd_at: dict[int, int] = {}  # position -> join edge depth
+
+    def _side_block(self, p: int, idx: int, step: int) -> tuple[int, int] | None:
+        """Nearest blocker scanning outward from sorted slot ``idx``."""
+        positions = self._positions
+        tree = self.tree
+        while 0 <= idx < len(positions):
+            q = positions[idx]
+            lo, hi = (p, q - 1) if p < q else (q, p - 1)
+            branch_depth = tree._range_min(lo, hi)
+            cd = self._cd_at[q]
+            if cd <= branch_depth:
+                return branch_depth, cd
+            idx += step
+        return None
+
+    def allowed(self, r: str) -> tuple[int, int | None]:
+        """Constraint on ``r``: (blocked_depth, exception_depth_or_None).
+
+        Edges at depth > blocked_depth are allowed; the edge at the
+        exception depth (when present) is the single allowed edge within
+        the blocked prefix.  blocked_depth = 0 means unconstrained.
+        """
+        p = self.tree._leaf_pos[r]
+        idx = bisect.bisect_left(self._positions, p)
+        left = self._side_block(p, idx - 1, -1)
+        right = self._side_block(p, idx, +1)
+        best = None
+        for cand in (left, right):
+            if cand is not None and (best is None or cand[0] > best[0]):
+                best = cand
+        if best is None:
+            return 0, None
+        return best
+
+    def place(self, r: str, join_depth: int) -> None:
+        p = self.tree._leaf_pos[r]
+        positions = self._positions
+        if not positions or p > positions[-1]:
+            positions.append(p)
+        else:
+            bisect.insort(positions, p)
+        self._cd_at[p] = join_depth
+
+    def unplace(self, r: str) -> None:
+        p = self.tree._leaf_pos[r]
+        positions = self._positions
+        if positions and positions[-1] == p:
+            positions.pop()
+        else:
+            positions.remove(p)
+        del self._cd_at[p]
 
 
 def ref_answers(tree, joins: Mapping[str, str], pairs: Iterable[tuple[str, str]]):

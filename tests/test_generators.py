@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -150,3 +153,24 @@ def test_sampler_fast_path_matches_full_scan_on_random_trees(tree, seed):
     slow_tree = LogicalTree(tree.root, tree.edges(), tree._leaf_at)
     slow_tree._planar = False
     assert random_config(slow_tree, seed) == fast
+
+
+def test_sampling_cost_does_not_depend_on_receiver_order():
+    # a ratio of two timings in one process holds across host speeds; a
+    # scan that steps over placed receivers, as RefPlacementScan does,
+    # puts it near 60 on this pair, an O(log N) one near 4
+    planar = tall_binary(40_000)
+    receivers = list(planar.receivers)
+    random.Random(0).shuffle(receivers)
+    shuffled = LogicalTree(planar.root, planar.edges(), receivers)
+
+    def best_of_3(tree):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            random_config(tree, 0)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert not shuffled._planar
+    assert best_of_3(shuffled) / best_of_3(planar) <= 40

@@ -18,6 +18,7 @@ from quartetmerge import (
     OracleAnswer,
     QuartetMergeError,
     QuartetType,
+    enumerate_valid_configs,
     identifies,
     is_valid_config,
     parse_topology,
@@ -28,7 +29,10 @@ from quartetmerge import (
     serialize_topology,
 )
 from quartetmerge.gbs import CandidateState, _worst_cases, apply_update, select_quartet
+from quartetmerge.topology import PlacementScan
 from reference import (
+    RefPlacementScan,
+    ref_enumerate,
     ref_gbs,
     ref_is_valid,
     ref_lca_depth,
@@ -290,6 +294,50 @@ def test_joins_at_reads_each_receivers_root_path(tree, data):
     assert list(joins) == list(tree.receivers)
     for r, d in zip(tree.receivers, depths):
         assert joins[r] == ref_root_path(tree, r)[d - 1]
+
+
+@given(trees(max_receivers=10), st.data())
+@settings(deadline=None)
+def test_placement_scan_matches_the_outward_scan(tree, data):
+    # places and unplaces interleave in any order, each join drawn from
+    # the allowed edges, and every unplaced receiver is asked after each.
+    # In a valid partial map a left and a right blocker at one branch
+    # depth share their join, so which side wins a tie shows only when
+    # joins may also be drawn anywhere on the root path
+    scan, ref = PlacementScan(tree), RefPlacementScan(tree)
+    anywhere = data.draw(st.booleans())
+    placed: list[str] = []
+
+    def same_answers():
+        for r in tree.receivers:
+            if r not in placed:
+                assert scan.allowed(r) == ref.allowed(r)
+
+    same_answers()
+    for _ in range(data.draw(st.integers(1, 3 * tree.n_receivers))):
+        unplaced = [r for r in tree.receivers if r not in placed]
+        if placed and (not unplaced or data.draw(st.booleans())):
+            r = placed.pop(data.draw(st.integers(0, len(placed) - 1)))
+            scan.unplace(r)
+            ref.unplace(r)
+        else:
+            r = data.draw(st.sampled_from(unplaced))
+            blocked, exception = (0, None) if anywhere else ref.allowed(r)
+            depths = list(range(blocked + 1, tree.node_depth(r) + 1))
+            if exception is not None:
+                depths.append(exception)
+            cd = data.draw(st.sampled_from(depths))
+            scan.place(r, cd)
+            ref.place(r, cd)
+            placed.append(r)
+        same_answers()
+
+
+@given(trees(max_receivers=5))
+@settings(deadline=None)
+def test_enumeration_matches_reference_in_any_receiver_order(tree):
+    got = [dict(c.joins) for c in enumerate_valid_configs(tree)]
+    assert got == ref_enumerate(tree)
 
 
 @given(valid_instances())
