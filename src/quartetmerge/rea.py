@@ -13,11 +13,16 @@ path, so a receiver's leaf edge in the working tree is always an edge of
 its original root path; answers are taken at face value, which keeps the
 procedure total even under a noisy oracle (the returned map may then
 simply be wrong).
+
+The working state is per receiver, over the immutable logical tree: its
+parent, leaf-edge label and depth (see WorkingTree).  A step costs
+amortized O(log N) on every tree shape.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 
 from .errors import InsufficientReceivers, StructuralViolation
 from .oracle import Pair
@@ -26,81 +31,61 @@ from .topology import JoiningConfig, LogicalTree, QuartetType
 
 
 class WorkingTree:
-    """Mutable view of a logical tree that receiver elimination cuts down.
+    """Per-receiver state of the tree that receiver elimination cuts down.
 
-    Leaves and live receivers coincide at all times, and a receiver is
-    live while it has a ``parent`` entry.  ``cut`` is the only edit; the
-    one node it lifts is the surviving leaf, so receiver depths stay exact
-    at O(1) per step, while internal-node depths go stale unread.  Edge
-    labels are keyed by child node, as in LogicalTree.
+    Surgery deletes a leaf or lifts a surviving leaf into its grandparent,
+    and never moves or relabels an internal node, so the logical tree
+    serves every internal node.  Three lists indexed by receiver hold the
+    current ``parent`` (None once cut off), leaf-edge ``label`` and
+    ``depth``; each node keeps a list of its leaf children's indices.  A
+    step costs amortized O(log N) on every tree shape: a heap push per
+    lift, a pop per stale entry, and one sort per node over the run.
     """
 
-    __slots__ = ("root", "parent", "children", "labels", "depth",
-                 "_heap", "_index", "_receivers")
+    __slots__ = ("tree", "parent", "label", "depth", "_heap", "_leaves", "_cursor")
 
     def __init__(self, tree: LogicalTree):
-        self.root = tree.root
-        self.parent = dict(tree._parent)
-        # children start as the tree's own tuples; _edit_children copies
-        # a node's tuple into a list the first time surgery changes it
-        self.children = dict(tree._children)
-        self.labels = dict(tree._labels)
-        self.depth = dict(tree._depth)
-        self._index = tree._rindex
-        self._receivers = tree.receivers
+        self.tree = tree
+        rec = tree.receivers
+        self.parent = list(map(tree._parent.__getitem__, rec))
+        self.label = list(map(tree._labels.__getitem__, rec))
+        self.depth = list(map(tree._depth.__getitem__, rec))
+        leaves = self._leaves = defaultdict(list)
+        for k, p in enumerate(self.parent):
+            leaves[p].append(k)
+        # position in a node's sorted leaves of the next receiver to pair,
+        # for each node picked so far
+        self._cursor: dict[str, int] = {}
         # key -depth * N + index orders by depth descending, then index;
         # entries go stale when a cut lifts a receiver, every lift pushes
-        # a fresh entry and deepest_receiver skips the stale ones
-        n = len(tree.receivers)
-        depth = self.depth
-        self._heap = [-depth[r] * n + k for k, r in enumerate(tree.receivers)]
+        # a fresh entry and pick_siblings skips the stale ones
+        n = len(rec)
+        self._heap = [-d * n + k for k, d in enumerate(self.depth)]
         heapq.heapify(self._heap)
 
-    def _edit_children(self, node: str) -> list[str]:
-        cs = self.children[node]
-        if type(cs) is not list:
-            cs = self.children[node] = list(cs)
-        return cs
+    def cut(self, deleted: int, survivor: int, keep_leaf_edge: bool) -> str | None:
+        """Remove receiver ``deleted``; splice out a parent it leaves with one child.
 
-    def deepest_receiver(self) -> str:
-        heap = self._heap
-        n = len(self._receivers)
-        while heap:
-            neg_depth, k = divmod(heap[0], n)
-            r = self._receivers[k]
-            if r in self.parent and self.depth[r] == -neg_depth:
-                return r
-            heapq.heappop(heap)
-        raise StructuralViolation("no live receivers left to pick")
-
-    def cut(self, deleted: str, survivor: str, keep_leaf_edge: bool) -> str | None:
-        """Remove leaf ``deleted``; splice out a parent it leaves with one child.
-
-        When the parent p is not the root and ``survivor`` is its last
-        child, survivor takes p's place among the grandparent's children.
-        With ``keep_leaf_edge`` survivor keeps its own leaf edge and p's
-        incoming label disappears; otherwise survivor takes p's label and
-        its own leaf edge disappears.  Returns the label that disappeared,
-        or None when nothing was spliced.
+        Both receivers, given by index, must be the pair pick_siblings
+        returned last.  When their parent p is not the root and
+        ``survivor`` is its last child, survivor takes p's place under the
+        grandparent.  With ``keep_leaf_edge`` survivor keeps its own leaf
+        edge and p's incoming label disappears; otherwise survivor takes
+        p's label and its own leaf edge disappears.  Returns the label that
+        disappeared, or None when nothing was spliced.
         """
-        parent, labels = self.parent, self.labels
-        p = parent.pop(deleted)
-        siblings = self._edit_children(p)
-        siblings.remove(deleted)
-        del labels[deleted]
-        del self.children[deleted]
-        if len(siblings) != 1 or p == self.root:
+        p = self.parent[deleted]
+        self.parent[deleted] = None
+        at = self._cursor[p] = self._cursor[p] + 1
+        if at < len(self._leaves[p]) or p == self.tree.root:
             return None
-        g = parent.pop(p)
-        up = self._edit_children(g)
-        up[up.index(p)] = survivor
-        parent[survivor] = g
-        del self.children[p]
-        removed = labels.pop(p)
+        g = self.parent[survivor] = self.tree._parent[p]
+        self._leaves[g].append(survivor)
+        removed = self.tree._labels[p]
         if not keep_leaf_edge:
-            removed, labels[survivor] = labels[survivor], removed
+            removed, self.label[survivor] = self.label[survivor], removed
         d = self.depth[survivor] = self.depth[survivor] - 1
-        heapq.heappush(self._heap, -d * len(self._receivers) + self._index[survivor])
+        heapq.heappush(self._heap, -d * len(self.depth) + survivor)
         return removed
 
 
@@ -111,28 +96,39 @@ def pick_siblings(wt: WorkingTree) -> Pair:
     taken; its sibling with the lowest index completes the pair.  Every
     sibling of a deepest receiver is a leaf as deep as it (a non-leaf
     sibling would hang a deeper leaf below it), so the pair comes out in
-    index order.
+    index order.  For the same reason a node is first picked only after
+    its last internal child was spliced out, when every leaf that will
+    ever hang below it has arrived.  Its leaf indices are sorted then,
+    once; each later step under it pairs the survivor so far, always the
+    lowest live index, with the next index in that order.
     """
-    first = wt.deepest_receiver()
-    index = wt._index
-    best = None
-    for c in wt.children[wt.parent[first]]:
-        if c != first:
-            k = index[c]
-            if best is None or k < best:
-                best = k
-    if best is None:
-        raise StructuralViolation(f"deepest receiver {first!r} has no sibling leaf")
-    return first, wt._receivers[best]
+    heap, parent, depth = wt._heap, wt.parent, wt.depth
+    n = len(depth)
+    while heap:
+        neg_depth, first = divmod(heap[0], n)
+        p = parent[first]
+        if p is not None and depth[first] == -neg_depth:
+            break
+        heapq.heappop(heap)
+    else:
+        raise StructuralViolation("no live receivers left to pick")
+    leaves = wt._leaves[p]
+    at = wt._cursor.get(p)
+    if at is None:
+        leaves.sort()
+        at = wt._cursor[p] = 1
+    rec = wt.tree.receivers
+    if at == len(leaves):
+        raise StructuralViolation(f"deepest receiver {rec[first]!r} has no sibling leaf")
+    return rec[first], rec[leaves[at]]
 
 
 def apply_answer(
     wt: WorkingTree, pair: Pair, answer: QuartetType, trace: Trace
 ) -> WorkingTree:
-    """One surgery step for an answered sibling-leaf pair.
+    """One surgery step for the answered pair that pick_siblings returned.
 
-    The pair must be in receiver index order with both members children of
-    one parent.  Appends a Step to the trace and returns the tree.
+    Appends a Step to the trace and returns the tree.
     """
     first, second = pair
     if answer == QuartetType.BOTH_ABOVE:
@@ -143,8 +139,10 @@ def apply_answer(
         deleted, survivor = first, second
     else:
         deleted, survivor = second, first
-    deleted_edge = wt.labels[deleted]
-    contracted = wt.cut(deleted, survivor, answer == QuartetType.BOTH_BELOW)
+    index = wt.tree._rindex
+    d = index[deleted]
+    deleted_edge = wt.label[d]
+    contracted = wt.cut(d, index[survivor], answer == QuartetType.BOTH_BELOW)
     trace.steps.append(Step(pair, answer, deleted, deleted_edge, contracted))
     return wt
 
@@ -161,10 +159,10 @@ def run_rea(tree: LogicalTree, oracle) -> InferenceResult:
         answer = oracle.query(first, second)
         apply_answer(wt, answer.pair, answer.qtype, trace)
 
-    top = wt.children[wt.root]
-    if len(top) != 1 or wt.children[top[0]]:
+    live = [k for k, p in enumerate(wt.parent) if p is not None]
+    if len(live) != 1 or wt.parent[live[0]] != tree.root:
         raise StructuralViolation("working tree did not reduce to a single edge")
-    joins = {top[0]: wt.labels[top[0]]}
+    joins = {tree.receivers[live[0]]: wt.label[live[0]]}
     # every answer but type 1 pins down the deleted receiver's leaf edge;
     # a type-1 survivor outlives the receiver aliased to it, so walking
     # the steps backwards finds its join already resolved

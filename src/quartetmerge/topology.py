@@ -97,14 +97,16 @@ class LogicalTree:
     node.  The constructor then closes each node's span of leaf positions
     and builds a sparse table of range minima over the adjacent-lca depths,
     which makes lca and edge-membership checks O(1), as the oracles and
-    samplers need at large N.
+    samplers need at large N.  Child lists are dropped once the layout is
+    built: every later walk goes up through parents or across spans.  The
+    table's levels are memoryviews, and level 0 is the adjacent-lca depths
+    themselves.
     """
 
     __slots__ = (
         "root",
         "receivers",
         "_parent",
-        "_children",
         "_labels",
         "_by_label",
         "_depth",
@@ -112,7 +114,6 @@ class LogicalTree:
         "_rindex",
         "_leaf_pos",
         "_leaf_at",
-        "_adj_list",
         "_sparse",
         "_span_lo",
         "_span_hi",
@@ -127,8 +128,7 @@ class LogicalTree:
     ):
         parent: dict[str, str] = {}
         # a node's key sits where the node first appears in the edge list,
-        # as parent or as child; leaves share the empty tuple, and child
-        # lists are frozen to tuples by the preorder pass
+        # as parent or as child; leaves share the empty tuple
         children: dict[str, list[str] | tuple[str, ...]] = {}
         labels: dict[str, str] = {}  # child -> label of its incoming edge
         by_label: dict[str, str] = {}  # label -> child
@@ -186,7 +186,6 @@ class LogicalTree:
                 continue
             if len(cs) == 1 and u != root:
                 relays.add(u)
-            children[u] = tuple(cs)
             du = depth[u] + 1
             for c in cs:
                 depth[c] = du
@@ -225,7 +224,6 @@ class LogicalTree:
         self.root = root
         self.receivers = rec
         self._parent = parent
-        self._children = children
         self._labels = labels
         self._by_label = by_label
         self._depth = depth
@@ -236,8 +234,9 @@ class LogicalTree:
         self._rindex = rindex
         self._leaf_pos = leaf_pos
         self._leaf_at = tuple(leaf_at)
-        self._adj_list = tuple(adj)
-        self._sparse = sparse
+        # indexing a memoryview yields a plain int, which compares faster
+        # than a numpy scalar; np.asarray reads one back without a copy
+        self._sparse = [memoryview(level) for level in sparse]
         self._span_lo = span_lo
         self._span_hi = span_hi
         self._planar = self._leaf_at == rec
@@ -311,7 +310,7 @@ class LogicalTree:
         level = self._sparse[k]
         a = level[lo]
         b = level[hi - (1 << k) + 1]
-        return int(a if a < b else b)
+        return a if a < b else b
 
     def _lca_depths(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
         """lca depth of every receiver pair (I[p], J[p]), given by receiver
@@ -327,9 +326,10 @@ class LogicalTree:
         hi = np.maximum(pi, pj)
         level = np.frexp(hi - lo)[1] - 1
         out = np.empty(len(lo), dtype=np.int32)
-        for k, table in enumerate(self._sparse):
+        for k, view in enumerate(self._sparse):
             sel = np.flatnonzero(level == k)
             if sel.size:
+                table = np.asarray(view)
                 out[sel] = np.minimum(table[lo[sel]], table[hi[sel] - (1 << k)])
         return out
 
@@ -414,13 +414,10 @@ class PlacementScan:
     drive either one the same way.
     """
 
-    __slots__ = ("tree", "_runs", "_size", "_lo", "_hi", "_cd")
+    __slots__ = ("tree", "_size", "_lo", "_hi", "_cd")
 
     def __init__(self, tree: LogicalTree):
         self.tree = tree
-        # views of the sparse table's levels: indexing one yields a plain
-        # int, which compares faster than a numpy scalar, and copies nothing
-        self._runs = [memoryview(level) for level in tree._sparse]
         n = len(tree.receivers)
         size = 1 << (n - 1).bit_length()
         self._size = size
@@ -437,7 +434,7 @@ class PlacementScan:
         depths, back to p, stay at least ``cd``; each side is found by one
         descent over the sparse table's power-of-two runs.
         """
-        runs = self._runs
+        runs = self.tree._sparse
         n_adj = len(runs[0])
         lo = hi = p
         for k in range(len(runs) - 1, -1, -1):
@@ -553,7 +550,7 @@ class _NearestBlockers:
     __slots__ = ("_adj", "_placed", "_branch", "_cd")
 
     def __init__(self, tree: LogicalTree):
-        self._adj = tree._adj_list
+        self._adj = tree._sparse[0]
         self._placed = 0
         self._branch: list[int] = []
         self._cd: list[int] = []

@@ -218,8 +218,8 @@ def test_criterion_08_majority_voting():
 
 @pytest.mark.acceptance(9, "a 100k-receiver run stays under 5s with linear memory")
 def test_criterion_09_scale():
-    def pipeline(n: int) -> None:
-        tree = make_tree("tall_binary", n)
+    def pipeline(n: int, shape: str = "tall_binary") -> None:
+        tree = make_tree(shape, n)
         config = random_config(tree, 0)
         res = run_rea(tree, oracle_for(tree, config))
         assert res.matches(config)
@@ -228,6 +228,11 @@ def test_criterion_09_scale():
     start = time.perf_counter()
     pipeline(100_000)
     assert time.perf_counter() - start < 5.0
+
+    for shape, n in (("star", 100_000), ("perfect_ternary", 3**10)):
+        start = time.perf_counter()
+        pipeline(n, shape)
+        assert time.perf_counter() - start < 5.0, shape
 
     peaks = {}
     for n in (50_000, 100_000):
@@ -245,6 +250,26 @@ def test_criterion_09_scale():
     res = run_gbs(tree, oracle_for(tree, config), propagate_equalities=True)
     assert res.matches(config)
     assert time.perf_counter() - start < 60.0
+
+
+@pytest.mark.parametrize("shape", ["star", "tall_binary"])
+def test_rea_time_grows_near_linearly(shape):
+    # a ratio of two timings in one process holds across host speeds;
+    # 4x the receivers costs about 4.5x with a heap step of O(log N),
+    # and a linear edit of the hub's child list per step puts stars
+    # near 16x
+    cases = {}
+    for n in (25_000, 100_000):
+        tree = make_tree(shape, n)
+        cases[n] = tree, oracle_for(tree, random_config(tree, 0))
+    best = dict.fromkeys(cases, float("inf"))
+    for _ in range(3):
+        for n, (tree, oracle) in cases.items():
+            start = time.perf_counter()
+            run_rea(tree, oracle)
+            best[n] = min(best[n], time.perf_counter() - start)
+    ratio = best[100_000] / best[25_000]
+    assert ratio <= 6, ratio
 
 
 @pytest.mark.acceptance(10, "three-source inference totals (M-1)(N-1) queries")

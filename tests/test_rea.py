@@ -56,39 +56,52 @@ def test_initial_pick_is_deepest_then_lowest_sibling(three_fork_tree):
     assert pick_siblings(wt) == ("r2", "r3")
 
 
+def live_under(wt, node) -> list[str]:
+    """Live receivers whose current parent is ``node``, in index order."""
+    return [wt.tree.receivers[k] for k, p in enumerate(wt.parent) if p == node]
+
+
 def test_contract_inherits_parent_edge_label(three_fork_tree):
     wt = WorkingTree(three_fork_tree)
-    removed = wt.cut("r2", "r3", keep_leaf_edge=False)
+    assert pick_siblings(wt) == ("r2", "r3")
+    removed = wt.cut(1, 2, keep_leaf_edge=False)
     assert removed == "e6"
-    assert wt.labels["r3"] == "e3"
-    assert wt.parent["r3"] == "b14"
-    assert wt.children["b14"] == ["r1", "r3", "r4"]
-    assert wt.depth["r3"] == 2
-    assert "r2" not in wt.parent and "b23" not in wt.children
+    assert (wt.label[2], wt.parent[2], wt.depth[2]) == ("e3", "b14", 2)
+    assert wt.parent[1] is None
+    assert live_under(wt, "b14") == ["r1", "r3", "r4"]
+    assert "b23" not in wt.parent
+    assert pick_siblings(wt) == ("r1", "r3")
 
 
 def test_cut_keeping_the_leaf_edge_drops_the_parent_label(three_fork_tree):
     wt = WorkingTree(three_fork_tree)
-    removed = wt.cut("r2", "r3", keep_leaf_edge=True)
+    assert pick_siblings(wt) == ("r2", "r3")
+    removed = wt.cut(1, 2, keep_leaf_edge=True)
     assert removed == "e3"
-    assert wt.labels["r3"] == "e6"
-    assert wt.parent["r3"] == "b14"
-    assert wt.children["b14"] == ["r1", "r3", "r4"]
-    assert wt.depth["r3"] == 2
-    assert "b23" not in wt.labels
+    assert (wt.label[2], wt.parent[2], wt.depth[2]) == ("e6", "b14", 2)
+    assert wt.parent[1] is None
+    assert live_under(wt, "b14") == ["r1", "r3", "r4"]
+    assert "b23" not in wt.parent
+    assert pick_siblings(wt) == ("r1", "r3")
 
 
 def test_cut_splices_nothing_under_the_root_or_a_fork():
     tree = LogicalTree("s", [("s", "a", "e1"), ("s", "b", "e2")], ["a", "b"])
     wt = WorkingTree(tree)
-    assert wt.cut("a", "b", keep_leaf_edge=False) is None
-    assert wt.children["s"] == ["b"]
-    assert (wt.parent["b"], wt.labels["b"], wt.depth["b"]) == ("s", "e2", 1)
-    assert "a" not in wt.parent
+    assert pick_siblings(wt) == ("a", "b")
+    assert wt.cut(0, 1, keep_leaf_edge=False) is None
+    assert live_under(wt, "s") == ["b"]
+    assert (wt.parent[1], wt.label[1], wt.depth[1]) == ("s", "e2", 1)
+    assert wt.parent[0] is None
 
     fork = WorkingTree(make_tree("star", 3))
-    assert fork.cut("r1", "r2", keep_leaf_edge=True) is None
-    assert fork.children[fork.parent["r2"]] == ["r2", "r3"]
+    hub = fork.parent[0]
+    assert hub != fork.tree.root
+    assert pick_siblings(fork) == ("r1", "r2")
+    assert fork.cut(0, 1, keep_leaf_edge=True) is None
+    assert live_under(fork, hub) == ["r2", "r3"]
+    assert (fork.label[1], fork.depth[1]) == (fork.tree.root_path("r2")[-1], 2)
+    assert pick_siblings(fork) == ("r2", "r3")
 
 
 def test_two_receivers_take_one_query():

@@ -9,7 +9,7 @@ import quartetmerge
 
 # LogicalTree's planar layout and range-min table: their format is known
 # only to topology.py, which answers every ancestry query from them
-LAYOUT = {"_sparse", "_adj_list", "_leaf_pos", "_leaf_at", "_span_lo", "_span_hi", "_order"}
+LAYOUT = {"_sparse", "_leaf_pos", "_leaf_at", "_span_lo", "_span_hi", "_order"}
 
 
 def test_only_topology_reads_the_tree_layout():
