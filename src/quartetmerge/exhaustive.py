@@ -136,9 +136,8 @@ def _deduction_identified(gt: GroundTruth, pairs: list[Pair]) -> bool:
 
     for a, b in pairs:
         code = int(gt.quartet_type(a, b))
-        i = tree.receiver_index(a)
-        j = tree.receiver_index(b)
-        d = tree.lca_depth(a, b)
+        i, j = tree._pair_indices(a, b)
+        d = tree._lca_depth_at(i, j)
         for k, above in ((i, code in (1, 2)), (j, code in (1, 3))):
             if above:
                 hi[k] = min(hi[k], d)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InconsistentAnswer, InsufficientReceivers, SameReceiver, Stalled
+from .errors import InconsistentAnswer, InsufficientReceivers, Stalled
 from .oracle import Pair
 from .results import InferenceResult, Step, Trace
 from .topology import JoiningConfig, LogicalTree, QuartetType
@@ -193,11 +193,7 @@ def apply_update(state: CandidateState, pair: Pair, answer: QuartetType) -> None
     Raises InconsistentAnswer when an interval would come out empty, which
     cannot happen with an exact oracle.
     """
-    tree = state.tree
-    i = tree.receiver_index(pair[0])
-    j = tree.receiver_index(pair[1])
-    if i == j:
-        raise SameReceiver(f"need two distinct receivers, got {pair[0]!r} twice")
+    i, j = state.tree._pair_indices(*pair)
     p = int(state._col_base[min(i, j)]) + max(i, j)
     d = int(state.branch_depth[p])
     halves = (

@@ -141,9 +141,9 @@ def random_config(tree: LogicalTree, seed: int) -> JoiningConfig:
     # against O(log N) for the scan's segment-tree descents.
     scan = _NearestBlockers(tree) if tree._planar else PlacementScan(tree)
     chosen: list[int] = []
-    for r in tree.receivers:
+    for r, v in zip(tree.receivers, tree._leaf):
         blocked, exception = scan.allowed(r)
-        n_choices = depth[r] - blocked + (1 if exception is not None else 0)
+        n_choices = depth[v] - blocked + (1 if exception is not None else 0)
         pick = rng.randrange(n_choices)
         if exception is not None and pick == n_choices - 1:
             cd = exception

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BadSpec
-from .topology import GroundTruth, QuartetType, quartet_type
+from .topology import GroundTruth, QuartetType
 
 Pair = tuple[str, str]
 
@@ -84,10 +84,10 @@ class Oracle:
         return true_type
 
     def query(self, ri: str, rj: str) -> OracleAnswer:
-        tree = self.gt.tree
-        if tree.receiver_index(ri) > tree.receiver_index(rj):
-            ri, rj = rj, ri
-        qtype = quartet_type(self.gt, ri, rj)
+        i, j = self.gt.tree._pair_indices(ri, rj)
+        if i > j:
+            i, j, ri, rj = j, i, rj, ri
+        qtype = self.gt._type_at(i, j)
         if self._rng is not None:
             votes = [0, 0, 0, 0]
             for _ in range(self._probes):

@@ -22,7 +22,7 @@ amortized O(log N) on every tree shape.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+from array import array
 
 from .errors import InsufficientReceivers, StructuralViolation
 from .oracle import Pair
@@ -35,31 +35,33 @@ class WorkingTree:
 
     Surgery deletes a leaf or lifts a surviving leaf into its grandparent,
     and never moves or relabels an internal node, so the logical tree
-    serves every internal node.  Three lists indexed by receiver hold the
-    current ``parent`` (None once cut off), leaf-edge ``label`` and
-    ``depth``; each node keeps a list of its leaf children's indices.  A
-    step costs amortized O(log N) on every tree shape: a heap push per
-    lift, a pop per stale entry, and one sort per node over the run.
+    serves every internal node, by id.  Three lists indexed by receiver
+    hold the current ``parent`` node (None once cut off), leaf-edge
+    ``label`` and ``depth``.  A receiver stands for each node: a leaf's
+    own, or the survivor lifted out of a spliced node.  Only the nodes
+    picked and not yet spliced keep a list, of their children's standing
+    receivers.  A step costs amortized O(log N) on every tree shape: a
+    heap push per lift, a pop per stale entry, and one sort per node.
     """
 
-    __slots__ = ("tree", "parent", "label", "depth", "_heap", "_leaves", "_cursor")
+    __slots__ = ("tree", "parent", "label", "depth", "_heap", "_stand", "_open")
 
     def __init__(self, tree: LogicalTree):
         self.tree = tree
-        rec = tree.receivers
-        self.parent = list(map(tree._parent.__getitem__, rec))
-        self.label = list(map(tree._labels.__getitem__, rec))
-        self.depth = list(map(tree._depth.__getitem__, rec))
-        leaves = self._leaves = defaultdict(list)
-        for k, p in enumerate(self.parent):
-            leaves[p].append(k)
-        # position in a node's sorted leaves of the next receiver to pair,
-        # for each node picked so far
-        self._cursor: dict[str, int] = {}
+        leaf = tree._leaf
+        self.parent = list(map(tree._parent.__getitem__, leaf))
+        self.label = list(map(tree._labels.__getitem__, leaf))
+        self.depth = list(map(tree._depth.__getitem__, leaf))
+        self._stand = array("i", [-1]) * len(tree._parent)
+        for k, v in enumerate(leaf):
+            self._stand[v] = k
+        # for each node picked and not yet spliced: its children's standing
+        # receivers still to pair, highest index first
+        self._open: dict[int, list[int]] = {}
         # key -depth * N + index orders by depth descending, then index;
         # entries go stale when a cut lifts a receiver, every lift pushes
         # a fresh entry and pick_siblings skips the stale ones
-        n = len(rec)
+        n = len(leaf)
         self._heap = [-d * n + k for k, d in enumerate(self.depth)]
         heapq.heapify(self._heap)
 
@@ -76,11 +78,13 @@ class WorkingTree:
         """
         p = self.parent[deleted]
         self.parent[deleted] = None
-        at = self._cursor[p] = self._cursor[p] + 1
-        if at < len(self._leaves[p]) or p == self.tree.root:
+        pending = self._open[p]
+        pending.pop()
+        if pending or p == 0:  # the root is node 0
             return None
+        del self._open[p]
+        self._stand[p] = survivor
         g = self.parent[survivor] = self.tree._parent[p]
-        self._leaves[g].append(survivor)
         removed = self.tree._labels[p]
         if not keep_leaf_edge:
             removed, self.label[survivor] = self.label[survivor], removed
@@ -97,10 +101,10 @@ def pick_siblings(wt: WorkingTree) -> Pair:
     sibling of a deepest receiver is a leaf as deep as it (a non-leaf
     sibling would hang a deeper leaf below it), so the pair comes out in
     index order.  For the same reason a node is first picked only after
-    its last internal child was spliced out, when every leaf that will
-    ever hang below it has arrived.  Its leaf indices are sorted then,
-    once; each later step under it pairs the survivor so far, always the
-    lowest live index, with the next index in that order.
+    its last internal child was spliced out, when a receiver stands for
+    every child.  Those are sorted then, once; each step under the node
+    pairs the survivor so far, always the lowest live index, with the next
+    index in that order.
     """
     heap, parent, depth = wt._heap, wt.parent, wt.depth
     n = len(depth)
@@ -112,15 +116,23 @@ def pick_siblings(wt: WorkingTree) -> Pair:
         heapq.heappop(heap)
     else:
         raise StructuralViolation("no live receivers left to pick")
-    leaves = wt._leaves[p]
-    at = wt._cursor.get(p)
-    if at is None:
-        leaves.sort()
-        at = wt._cursor[p] = 1
+    pending = wt._open.get(p)
+    if pending is None:
+        # a subtree ends where its next sibling starts, so the children
+        # of p are p + 1 and each next one at the end of the one before
+        end, stand = wt.tree._end, wt._stand
+        pending, c = [], p + 1
+        while c < end[p]:
+            pending.append(stand[c])
+            c = end[c]
+        # first, the lowest, is paired with the others in index order
+        pending.sort(reverse=True)
+        pending.pop()
+        wt._open[p] = pending
     rec = wt.tree.receivers
-    if at == len(leaves):
+    if not pending:
         raise StructuralViolation(f"deepest receiver {rec[first]!r} has no sibling leaf")
-    return rec[first], rec[leaves[at]]
+    return rec[first], rec[pending[-1]]
 
 
 def apply_answer(
@@ -160,7 +172,7 @@ def run_rea(tree: LogicalTree, oracle) -> InferenceResult:
         apply_answer(wt, answer.pair, answer.qtype, trace)
 
     live = [k for k, p in enumerate(wt.parent) if p is not None]
-    if len(live) != 1 or wt.parent[live[0]] != tree.root:
+    if len(live) != 1 or wt.parent[live[0]] != 0:
         raise StructuralViolation("working tree did not reduce to a single edge")
     joins = {tree.receivers[live[0]]: wt.label[live[0]]}
     # every answer but type 1 pins down the deleted receiver's leaf edge;

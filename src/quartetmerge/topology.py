@@ -9,7 +9,9 @@ reports how the two joining edges sit relative to the pair's branching point.
 
 Conventions used throughout:
 
-* Nodes and edge labels are non-empty strings.  Edge labels are unique.
+* Nodes and edge labels are non-empty strings wherever they cross the API,
+  and edge labels are unique.  Inside a tree, nodes are ints numbered in
+  preorder and receivers are indices into the receiver order.
 * The depth of an edge is the depth of its child endpoint, so the edges of a
   root path have depths 1..len(path) with no gaps.
 * Receiver order is significant and fixed at construction; "lower receiver"
@@ -18,6 +20,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -90,35 +93,21 @@ class LogicalTree:
     and the receiver sequence names exactly the leaves.  Instances never
     mutate after construction and are safe to share.
 
-    Every node has exactly one incoming edge, so edge labels are keyed by
-    their child endpoint.  One depth-first preorder pass lays the tree out:
-    node depths, the preorder itself, the planar leaf order, the lca depth
-    of each adjacent leaf pair and the first leaf position under every
-    node.  The constructor then closes each node's span of leaf positions
-    and builds a sparse table of range minima over the adjacent-lca depths,
-    which makes lca and edge-membership checks O(1), as the oracles and
-    samplers need at large N.  Child lists are dropped once the layout is
-    built: every later walk goes up through parents or across spans.  The
-    table's levels are memoryviews, and level 0 is the adjacent-lca depths
-    themselves.
+    Nodes are the ints 0..V-1 in depth-first preorder, children in the
+    order their edges first appear, so the root is 0 and every subtree is
+    the run of ids from its root up to its end.  Names and incoming-edge
+    labels are each one tuple indexed by node id; parent, depth and end
+    are int arrays, as are each receiver's leaf node and planar position
+    and the receiver at each planar position.  Only two dicts key by
+    name: label to node id, and receiver name to index.  A sparse table
+    of range minima over the lca depths of adjacent leaves makes lca
+    queries O(1), as the oracles and samplers need at large N; its levels
+    are memoryviews, and level 0 is the adjacent-lca depths themselves.
     """
 
-    __slots__ = (
-        "root",
-        "receivers",
-        "_parent",
-        "_labels",
-        "_by_label",
-        "_depth",
-        "_order",
-        "_rindex",
-        "_leaf_pos",
-        "_leaf_at",
-        "_sparse",
-        "_span_lo",
-        "_span_hi",
-        "_planar",
-    )
+    __slots__ = ("root", "receivers", "_names", "_labels", "_parent", "_depth",
+                 "_end", "_by_label", "_rindex", "_leaf", "_pos", "_leaf_at",
+                 "_sparse", "_planar")
 
     def __init__(
         self,
@@ -126,96 +115,107 @@ class LogicalTree:
         edges: Iterable[tuple[str, str, str]],
         receivers: Iterable[str],
     ):
-        parent: dict[str, str] = {}
-        # a node's key sits where the node first appears in the edge list,
-        # as parent or as child; leaves share the empty tuple
-        children: dict[str, list[str] | tuple[str, ...]] = {}
-        labels: dict[str, str] = {}  # child -> label of its incoming edge
-        by_label: dict[str, str] = {}  # label -> child
-
         if not root or not isinstance(root, str):
             raise InvalidTree("root must be a non-empty string")
+        # Read the edges under temporary ids, dense in order of first
+        # appearance as parent or child; no edge list names more than
+        # twice as many nodes as edges.  Each node's children form a list
+        # linked through first/after, newest first: pushed onto the
+        # preorder stack in that order, the oldest child ends on top.
+        edges = list(edges)
+        size = 2 * len(edges)
+        ids: dict[str, int] = {}
+        up = [-1] * size  # parent's temporary id
+        labels: list[str | None] = [None] * size  # of the incoming edge
+        first = [-1] * size  # newest child
+        after = [-1] * size  # next older sibling
+        seen: set[str] = set()
         for u, v, lab in edges:
             if not u or not v or not lab:
                 raise InvalidTree(f"empty field in edge ({u!r}, {v!r}, {lab!r})")
             if u == v:
                 raise InvalidTree(f"self-loop at {u!r}")
-            if v in parent:
+            iu = ids.setdefault(u, len(ids))
+            iv = ids.setdefault(v, len(ids))
+            if up[iv] >= 0:
                 raise InvalidTree(f"node {v!r} has two incoming edges")
-            if lab in by_label:
+            if lab in seen:
                 raise InvalidTree(f"duplicate edge label {lab!r}")
-            parent[v] = u
-            cs = children.get(u)
-            if cs:
-                cs.append(v)
-            else:
-                children[u] = [v]
-            children.setdefault(v, ())
-            labels[v] = lab
-            by_label[lab] = v
-        if not labels:
+            seen.add(lab)
+            up[iv] = iu
+            labels[iv] = lab
+            after[iv] = first[iu]
+            first[iu] = iv
+        if not edges:
             raise InvalidTree("a tree needs at least one edge")
-        if root in parent:
-            raise InvalidTree("root has an incoming edge")
-        if root not in children:
+        top = ids.get(root)
+        if top is None:
             raise InvalidTree("root is not an endpoint of any edge")
+        if up[top] >= 0:
+            raise InvalidTree("root has an incoming edge")
+        names = list(ids)
+        del edges, seen, ids  # lowers the peak of a large build
 
-        # Preorder pass, children left to right.  Every non-root node has
-        # one parent, so nothing reachable from the root repeats.  After a
-        # leaf comes the next sibling of the leaf or of one of its
-        # ancestors; that node's parent is where the leaf and the next leaf
-        # branch apart, so its depth is the pair's lca depth.
-        depth: dict[str, int] = {root: 0}
-        order: list[str] = []
-        leaf_at: list[str] = []
-        adj: list[int] = []
-        span_lo: dict[str, int] = {}
-        relays: set[str] = set()
-        after_leaf = False
-        stack = [root]
+        # Preorder pass: a node's id is its place in the pass, and each
+        # child's up slot takes its parent's id before the child is reached.
+        # Every non-root node has one parent, so no node repeats.
+        order = []  # temporary ids in preorder
+        parent = array("i")
+        depth = array("i")
+        leaves = []  # leaf ids in planar order
+        relays = []
+        stack = [top]
         while stack:
             u = stack.pop()
+            i = len(order)
+            p = up[u]
             order.append(u)
-            span_lo[u] = len(leaf_at)
-            if after_leaf:
-                adj.append(depth[parent[u]])
-            cs = children[u]
-            after_leaf = not cs
-            if after_leaf:
-                leaf_at.append(u)
+            parent.append(p)
+            depth.append(depth[p] + 1 if i else 0)
+            c = first[u]
+            if c < 0:
+                leaves.append(i)
                 continue
-            if len(cs) == 1 and u != root:
-                relays.add(u)
-            du = depth[u] + 1
-            for c in cs:
-                depth[c] = du
-            stack.extend(reversed(cs))
-        if len(depth) != len(children):
+            if after[c] < 0 and i:
+                relays.append(u)
+            while c >= 0:
+                up[c] = i
+                stack.append(c)
+                c = after[c]
+        if len(order) != len(names):
             raise InvalidTree("graph is not connected from the root")
         if relays:
             # name the relay that appears first in the edge list
-            first = next(u for u in children if u in relays)
-            raise InvalidTree(f"relay node {first!r} has out-degree 1")
+            raise InvalidTree(f"relay node {names[min(relays)]!r} has out-degree 1")
+        names = tuple(map(names.__getitem__, order))
+        labels = tuple(map(labels.__getitem__, order))
+        del up, first, after, order
 
         rec = tuple(receivers)
-        rindex = {r: k for k, r in enumerate(rec)}
+        rindex = dict(zip(rec, range(len(rec))))
         if len(rindex) != len(rec):
             raise InvalidTree("duplicate receiver name")
-        leaf_pos = dict(zip(leaf_at, range(len(leaf_at))))
-        if rindex.keys() != leaf_pos.keys():
+        leaf_at = list(map(rindex.get, map(names.__getitem__, leaves)))
+        if len(leaf_at) != len(rec) or None in leaf_at:
             raise InvalidTree("receivers must name exactly the leaves")
+        # planar position of each receiver: the inverse permutation
+        pos = array("i", sorted(range(len(rec)), key=leaf_at.__getitem__))
+        leaf = array("i", map(leaves.__getitem__, pos))
+        # key the receivers by the node names, not the caller's strings
+        rec = tuple(map(names.__getitem__, leaf))
 
-        # a leaf's span is its own position; an internal node's span ends
-        # where its last child's does, and reverse preorder visits that
-        # child first
-        span_hi = dict(span_lo)
-        for u in reversed(order):
-            cs = children[u]
-            if cs:
-                span_hi[u] = span_hi[cs[-1]]
-        # level k of the sparse table holds the minimum adjacent-lca depth
-        # of every run of 2**k consecutive leaf pairs
-        sparse = [np.array(adj, dtype=np.int32)]
+        # A subtree ends after its last leaf, found by following last
+        # children down: each node points at its last child, a leaf at
+        # itself, and every doubling of the pointers halves the way left.
+        last = np.arange(len(names), dtype=np.int32)
+        np.maximum.at(last, np.asarray(parent)[1:], last[1:].copy())
+        for _ in range(max(depth).bit_length()):
+            last = last[last]
+        # After a leaf comes a child of the node where it and the next leaf
+        # branch apart, one deeper than the pair's lca.  Level k of the
+        # sparse table holds the minimum of these adjacent-lca depths over
+        # every run of 2**k consecutive leaf pairs.
+        sparse = [np.asarray(depth)[np.asarray(leaves)[:-1] + 1] - 1]
         half = 1
         while len(sparse[-1]) > half:
             sparse.append(np.minimum(sparse[-1][:-half], sparse[-1][half:]))
@@ -223,23 +223,22 @@ class LogicalTree:
 
         self.root = root
         self.receivers = rec
-        self._parent = parent
+        # tuples: the cyclic collector stops tracking a tuple of strings
+        # once it has seen it, while it rescans a list every full pass
+        self._names = names
         self._labels = labels
-        self._by_label = by_label
+        self._parent = parent
         self._depth = depth
-        # tuples: the cyclic collector stops tracking a tuple of strings or
-        # ints once it has seen it, so full collections skip them, while a
-        # list would be rescanned every time
-        self._order = tuple(order)
-        self._rindex = rindex
-        self._leaf_pos = leaf_pos
-        self._leaf_at = tuple(leaf_at)
+        self._end = memoryview(last + 1)
+        self._by_label = dict(zip(labels[1:], range(1, len(names))))
+        self._rindex = dict(zip(rec, range(len(rec))))
+        self._leaf = leaf
+        self._pos = pos
+        self._leaf_at = array("i", leaf_at)
         # indexing a memoryview yields a plain int, which compares faster
         # than a numpy scalar; np.asarray reads one back without a copy
         self._sparse = [memoryview(level) for level in sparse]
-        self._span_lo = span_lo
-        self._span_hi = span_hi
-        self._planar = self._leaf_at == rec
+        self._planar = rec == tuple(map(names.__getitem__, leaves))
 
     # -- basic accessors -------------------------------------------------
 
@@ -255,35 +254,32 @@ class LogicalTree:
 
     def edges(self) -> tuple[tuple[str, str, str], ...]:
         """Edges as (parent, child, label) in depth-first preorder."""
-        parent, labels = self._parent, self._labels
-        return tuple((parent[v], v, labels[v]) for v in self._order[1:])
+        names = self._names
+        return tuple(
+            zip(map(names.__getitem__, self._parent[1:]), names[1:], self._labels[1:])
+        )
 
     def edge_labels(self) -> tuple[str, ...]:
-        labels = self._labels
-        return tuple(labels[v] for v in self._order[1:])
+        return self._labels[1:]
 
     def has_label(self, label: str) -> bool:
         return label in self._by_label
 
-    def _edge_child(self, label: str) -> str:
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise InvalidTree(f"no edge labelled {label!r}") from None
-
     def node_depth(self, node: str) -> int:
-        return self._depth[node]
+        # only receivers are keyed by name; a linear scan finds other nodes
+        k = self._rindex.get(node)
+        return self._depth[self._names.index(node) if k is None else self._leaf[k]]
 
     # -- paths and ancestry ----------------------------------------------
 
     def root_path(self, r: str) -> tuple[str, ...]:
         """Edge labels from the root down to receiver ``r``."""
-        self.receiver_index(r)
+        v = self._leaf[self.receiver_index(r)]
         parent, labels = self._parent, self._labels
         out = []
-        while r != self.root:
-            out.append(labels[r])
-            r = parent[r]
+        while v:
+            out.append(labels[v])
+            v = parent[v]
         out.reverse()
         return tuple(out)
 
@@ -291,17 +287,21 @@ class LogicalTree:
         """Label of the edge at depth ``depths[k]`` on receiver k's root
         path, for every receiver k, keyed in receiver order.
 
-        Replays the preorder: the edge at depth d overwrites slot d-1 of
-        the current root path, so every leaf reads its label in O(1).
+        Replays the preorder a leaf at a time: the ids after one leaf up
+        to the next are a chain down from the pair's branch point, so
+        they overwrite the tail of the current root path in one slice,
+        and every leaf reads its label in O(1).
         """
-        depth, labels, rindex = self._depth, self._labels, self._rindex
-        path = [""] * max(depth.values())
-        out = [""] * len(self.receivers)
-        for v in self._order[1:]:
-            path[depth[v] - 1] = labels[v]
-            k = rindex.get(v)
-            if k is not None:
-                out[k] = path[depths[k] - 1]
+        depth, labels, leaf = self._depth, self._labels, self._leaf
+        path = [""] * max(depth)
+        out = [""] * len(leaf)
+        prev = 0
+        for k in self._leaf_at:
+            v = leaf[k]
+            d = depth[v]
+            path[d - (v - prev) : d] = labels[prev + 1 : v + 1]
+            out[k] = path[depths[k] - 1]
+            prev = v
         return dict(zip(self.receivers, out))
 
     def _range_min(self, lo: int, hi: int) -> int:
@@ -315,11 +315,9 @@ class LogicalTree:
     def _lca_depths(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
         """lca depth of every receiver pair (I[p], J[p]), given by receiver
         index: the array form of _range_min, with the pairs grouped by the
-        table level their planar span needs.  Mapping the receivers to
-        planar positions costs O(N) per call, so callers pass a few
-        thousand pairs at a time, which also bounds the temporaries."""
-        rec = self.receivers
-        pos = np.fromiter(map(self._leaf_pos.__getitem__, rec), np.int32, len(rec))
+        table level their planar span needs.  Callers pass a few thousand
+        pairs at a time, which bounds the temporaries."""
+        pos = np.asarray(self._pos)
         pi, pj = pos[I], pos[J]
         # the adjacent-lca depths lo .. hi-1 span the pair
         lo = np.minimum(pi, pj)
@@ -333,52 +331,53 @@ class LogicalTree:
                 out[sel] = np.minimum(table[lo[sel]], table[hi[sel] - (1 << k)])
         return out
 
-    def _pair_positions(self, ri: str, rj: str) -> tuple[int, int]:
-        """Planar positions of two distinct receivers, in ascending order."""
-        pos = self._leaf_pos
-        pi = pos.get(ri)
-        pj = pos.get(rj)
-        if pi is None or pj is None or pi == pj:
+    def _pair_indices(self, ri: str, rj: str) -> tuple[int, int]:
+        """Receiver indices of two distinct receivers."""
+        i, j = self._rindex.get(ri), self._rindex.get(rj)
+        if i is None or j is None or i == j:
             # slow path only to raise the right error
             self.receiver_index(ri)
             self.receiver_index(rj)
             raise SameReceiver(f"need two distinct receivers, got {ri!r} twice")
-        if pi > pj:
-            return pj, pi
-        return pi, pj
+        return i, j
 
-    def lca_depth(self, ri: str, rj: str) -> int:
-        pi, pj = self._pair_positions(ri, rj)
+    def _lca_depth_at(self, i: int, j: int) -> int:
+        """lca depth of two distinct receivers, given by index."""
+        pi, pj = self._pos[i], self._pos[j]
+        if pi > pj:
+            pi, pj = pj, pi
         return self._range_min(pi, pj - 1)
 
-    def _covers(self, v: str, r: str) -> bool:
-        """True when receiver ``r`` lies in the subtree of node ``v``."""
-        return self._span_lo[v] <= self._leaf_pos[r] <= self._span_hi[v]
+    def lca_depth(self, ri: str, rj: str) -> int:
+        return self._lca_depth_at(*self._pair_indices(ri, rj))
 
     def on_root_path(self, label: str, r: str) -> bool:
         """True when the labelled edge lies on ``r``'s root path."""
-        self.receiver_index(r)
-        v = self._edge_child(label)
-        return self._covers(v, r)
+        k = self.receiver_index(r)
+        v = self._by_label.get(label)
+        if v is None:
+            raise InvalidTree(f"no edge labelled {label!r}")
+        return v <= self._leaf[k] < self._end[v]
 
     # -- comparison -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        # by name structure: node ids follow the edge order, which is free
         if not isinstance(other, LogicalTree):
             return NotImplemented
         return (
             self.root == other.root
             and self.receivers == other.receivers
-            and self._parent == other._parent
-            and self._labels == other._labels
+            and set(self.edges()) == set(other.edges())
         )
 
     def __hash__(self) -> int:
-        return hash((self.root, self.receivers, frozenset(self._labels.items())))
+        pairs = zip(self._names[1:], self._labels[1:])
+        return hash((self.root, self.receivers, frozenset(pairs)))
 
     def __repr__(self) -> str:
         return (
-            f"LogicalTree(root={self.root!r}, edges={len(self._labels)}, "
+            f"LogicalTree(root={self.root!r}, edges={len(self._labels) - 1}, "
             f"receivers={len(self.receivers)})"
         )
 
@@ -408,7 +407,7 @@ class PlacementScan:
 
     When receivers are placed in planar order, _NearestBlockers answers
     the same constraints from a stack in amortized O(1) per receiver,
-    about four times faster than this scan when sampling a planar
+    about three times faster than this scan when sampling a planar
     100 000-receiver caterpillar, so samplers and checks pick it for
     planar orders.  Both offer allowed(r) and place(r, depth), so callers
     drive either one the same way.
@@ -454,7 +453,7 @@ class PlacementScan:
         the blocked prefix.  blocked_depth = 0 means unconstrained.
         """
         tree = self.tree
-        p = tree._leaf_pos[r]
+        p = tree._pos[tree._rindex[r]]
         size = self._size
         lo, hi = self._lo, self._hi
         # climb from p's leaf: a right child's left sibling covers positions
@@ -498,9 +497,10 @@ class PlacementScan:
 
     def place(self, r: str, join_depth: int) -> None:
         tree = self.tree
-        p = tree._leaf_pos[r]
+        k = tree._rindex[r]
+        p = tree._pos[k]
         self._cd[p] = join_depth
-        if join_depth == tree._depth[r]:
+        if join_depth == tree._depth[tree._leaf[k]]:
             span_lo = span_hi = p
         else:
             span_lo, span_hi = self._join_span(p, join_depth)
@@ -517,7 +517,7 @@ class PlacementScan:
             i >>= 1
 
     def unplace(self, r: str) -> None:
-        p = self.tree._leaf_pos[r]
+        p = self.tree._pos[self.tree._rindex[r]]
         lo, hi = self._lo, self._hi
         i = self._size + p
         lo[i] = len(self._cd)
@@ -587,36 +587,35 @@ class _NearestBlockers:
 
 def _join_depths(
     tree: LogicalTree, config: JoiningConfig | Mapping[str, str]
-) -> dict[str, int]:
-    """Edge depth of every receiver's join, checking each lies on its path.
+) -> list[int]:
+    """Edge depth of every receiver's join, by receiver index.
 
     Raises MisplacedJoin when a join is missing or is not an edge of its
     receiver's root path.
     """
     joins = config.joins if isinstance(config, JoiningConfig) else config
-    by_label = tree._by_label
-    depth = tree._depth
-    depths = {}
-    for r in tree.receivers:
+    by_label, depth, leaf, end = tree._by_label, tree._depth, tree._leaf, tree._end
+    depths = []
+    for k, r in enumerate(tree.receivers):
         if r not in joins:
             raise MisplacedJoin(f"no join assigned to receiver {r!r}")
         label = joins[r]
         v = by_label.get(label)
-        if v is None or not tree._covers(v, r):
+        if v is None or not v <= leaf[k] < end[v]:
             raise MisplacedJoin(f"join {label!r} is not on the root path of {r!r}")
-        depths[r] = depth[v]
+        depths.append(depth[v])
     return depths
 
 
-def _depths_valid(tree: LogicalTree, depths: Mapping[str, int]) -> bool:
-    """The pairwise shared-prefix rule over per-receiver join depths."""
+def _depths_valid(tree: LogicalTree, depths: Sequence[int]) -> bool:
+    """The pairwise shared-prefix rule over join depths by receiver index."""
     blockers = _NearestBlockers(tree)
-    for r in tree._leaf_at:
-        cd = depths[r]
-        blocked, exception = blockers.allowed(r)
+    for k in tree._leaf_at:
+        cd = depths[k]
+        blocked, exception = blockers.allowed(k)
         if cd <= blocked and cd != exception:
             return False
-        blockers.place(r, cd)
+        blockers.place(k, cd)
     return True
 
 
@@ -635,25 +634,6 @@ def is_valid_config(tree: LogicalTree, config: JoiningConfig | Mapping[str, str]
     return _depths_valid(tree, _join_depths(tree, config))
 
 
-def _classify(
-    first: str, second: str, e1: str, e2: str, d1: int, d2: int, branch_depth: int
-) -> QuartetType:
-    above1 = d1 <= branch_depth
-    above2 = d2 <= branch_depth
-    if above1 and above2:
-        if e1 != e2:
-            raise InvalidConfiguration(
-                f"distinct joins {e1!r}, {e2!r} on the shared prefix of "
-                f"({first!r}, {second!r})"
-            )
-        return QuartetType.BOTH_ABOVE
-    if above1:
-        return QuartetType.FIRST_ABOVE
-    if above2:
-        return QuartetType.SECOND_ABOVE
-    return QuartetType.BOTH_BELOW
-
-
 def quartet_type(gt: "GroundTruth", first: str, second: str) -> QuartetType:
     """Classify the ordered receiver pair against the ground truth.
 
@@ -662,26 +642,20 @@ def quartet_type(gt: "GroundTruth", first: str, second: str) -> QuartetType:
     below the branching point.  Swapping the arguments exchanges types 2 and
     3 and fixes types 1 and 4.
     """
-    branch_depth = gt.tree.lca_depth(first, second)
-    joins = gt.config.joins
-    depth = gt._join_depth
-    return _classify(
-        first, second, joins[first], joins[second], depth[first], depth[second],
-        branch_depth,
-    )
+    return gt._type_at(*gt.tree._pair_indices(first, second))
 
 
 @dataclass(frozen=True)
 class GroundTruth:
     """A logical tree together with a valid joining configuration.
 
-    Keeps the edge depth of every receiver's join, which validation
-    computes anyway and every quartet classification needs.
+    Keeps the edge depth of every receiver's join by receiver index, which
+    validation computes anyway and every quartet classification needs.
     """
 
     tree: LogicalTree
     config: JoiningConfig
-    _join_depth: dict[str, int] = field(init=False, repr=False, compare=False)
+    _join_depth: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         depths = _join_depths(self.tree, self.config)
@@ -691,3 +665,22 @@ class GroundTruth:
 
     def quartet_type(self, first: str, second: str) -> QuartetType:
         return quartet_type(self, first, second)
+
+    def _type_at(self, i: int, j: int) -> QuartetType:
+        """quartet_type of two distinct receivers, given by index."""
+        branch_depth = self.tree._lca_depth_at(i, j)
+        d1, d2 = self._join_depth[i], self._join_depth[j]
+        if d1 <= branch_depth and d2 <= branch_depth:
+            # both on one root path, so one edge exactly when level
+            if d1 != d2:
+                r1, r2 = self.tree.receivers[i], self.tree.receivers[j]
+                raise InvalidConfiguration(
+                    f"distinct joins {self.config[r1]!r}, {self.config[r2]!r} on "
+                    f"the shared prefix of ({r1!r}, {r2!r})"
+                )
+            return QuartetType.BOTH_ABOVE
+        if d1 <= branch_depth:
+            return QuartetType.FIRST_ABOVE
+        if d2 <= branch_depth:
+            return QuartetType.SECOND_ABOVE
+        return QuartetType.BOTH_BELOW

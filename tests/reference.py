@@ -138,7 +138,7 @@ class RefPlacementScan:
         exception depth (when present) is the single allowed edge within
         the blocked prefix.  blocked_depth = 0 means unconstrained.
         """
-        p = self.tree._leaf_pos[r]
+        p = self.tree._pos[self.tree.receiver_index(r)]
         idx = bisect.bisect_left(self._positions, p)
         left = self._side_block(p, idx - 1, -1)
         right = self._side_block(p, idx, +1)
@@ -151,7 +151,7 @@ class RefPlacementScan:
         return best
 
     def place(self, r: str, join_depth: int) -> None:
-        p = self.tree._leaf_pos[r]
+        p = self.tree._pos[self.tree.receiver_index(r)]
         positions = self._positions
         if not positions or p > positions[-1]:
             positions.append(p)
@@ -160,7 +160,7 @@ class RefPlacementScan:
         self._cd_at[p] = join_depth
 
     def unplace(self, r: str) -> None:
-        p = self.tree._leaf_pos[r]
+        p = self.tree._pos[self.tree.receiver_index(r)]
         positions = self._positions
         if positions and positions[-1] == p:
             positions.pop()

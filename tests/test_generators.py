@@ -33,6 +33,12 @@ ALL_SHAPES = [
 ]
 
 
+def planar_receivers(tree: LogicalTree) -> tuple[str, ...]:
+    """The receivers in planar order: as preorder reaches their leaves."""
+    receivers = set(tree.receivers)
+    return tuple(v for _, v, _ in tree.edges() if v in receivers)
+
+
 def test_star_layout():
     tree = star(4)
     assert tree.receivers == ("r1", "r2", "r3", "r4")
@@ -115,7 +121,7 @@ def test_generated_trees_are_planar_in_index_order(shape, size):
     # the sampler's fast path relies on this invariant
     tree = make_tree(shape, size)
     assert tree._planar
-    assert tuple(tree._leaf_at) == tree.receivers
+    assert planar_receivers(tree) == tree.receivers
 
 
 @pytest.mark.parametrize("shape, size", ALL_SHAPES)
@@ -147,10 +153,10 @@ def test_sampler_fast_path_matches_full_scan(shape, size, seed):
 def test_sampler_fast_path_matches_full_scan_on_random_trees(tree, seed):
     # rebuild with the receivers in planar order, so the sampler may take
     # its nearest-blocker path; then force the full scan on a twin
-    fast_tree = LogicalTree(tree.root, tree.edges(), tree._leaf_at)
+    fast_tree = LogicalTree(tree.root, tree.edges(), planar_receivers(tree))
     fast = random_config(fast_tree, seed)
     assert fast_tree._planar
-    slow_tree = LogicalTree(tree.root, tree.edges(), tree._leaf_at)
+    slow_tree = LogicalTree(tree.root, tree.edges(), planar_receivers(tree))
     slow_tree._planar = False
     assert random_config(slow_tree, seed) == fast
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import quartetmerge
 
 # LogicalTree's planar layout and range-min table: their format is known
-# only to topology.py, which answers every ancestry query from them
-LAYOUT = {"_sparse", "_leaf_pos", "_leaf_at", "_span_lo", "_span_hi", "_order"}
+# only to topology.py, which answers every ancestry query from them; the
+# other modules read the tree by node id and receiver index
+LAYOUT = {"_sparse", "_pos", "_leaf_at"}
 
 
 def test_only_topology_reads_the_tree_layout():

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +24,7 @@ from quartetmerge import (
     make_tree,
     quartet_type,
     random_config,
+    serialize_topology,
 )
 from quartetmerge.topology import PlacementScan
 from reference import (
@@ -78,6 +83,71 @@ def test_trees_compare_by_structure():
     b = make_tree("star", 3)
     assert a == b and hash(a) == hash(b)
     assert a != make_tree("star", 4)
+    # the same nodes with two leaf labels swapped
+    edges = list(a.edges())
+    (u1, v1, l1), (u2, v2, l2) = edges[-2:]
+    edges[-2:] = [(u1, v1, l2), (u2, v2, l1)]
+    assert a != LogicalTree(a.root, edges, a.receivers)
+
+
+def permuted(tree: LogicalTree, seed: int, receivers=None) -> LogicalTree:
+    """``tree`` rebuilt from its edges in a seeded random order, which also
+    reorders each node's children."""
+    edges = list(tree.edges())
+    random.Random(seed).shuffle(edges)
+    return LogicalTree(tree.root, edges, receivers or tree.receivers)
+
+
+@pytest.mark.parametrize("shape, size", SHAPES)
+def test_edge_and_child_order_leave_equality_alone(shape, size):
+    tree = make_tree(shape, size)
+    twins = [permuted(tree, seed) for seed in range(4)]
+    for twin in twins:
+        assert twin == tree and hash(twin) == hash(tree)
+    # the shuffles reorder children, so the twins' preorders differ
+    assert any(twin.edges() != tree.edges() for twin in twins)
+
+
+@pytest.mark.parametrize(
+    "shape, size, edges_digest, file_digest",
+    [
+        ("perfect_ternary", 27, "d7332919facae624", "5459078ccacfc76b"),
+        ("tall_binary", 12, "5e658b4773f7db50", "6e9590cf83c76a8a"),
+    ],
+)
+def test_shuffled_tree_output_is_pinned(shape, size, edges_digest, file_digest):
+    # shuffled edges and receivers: the tree is not planar in index order,
+    # and however nodes are numbered inside, edges() and the file follow
+    # the preorder of the given edge order; digests recorded from the
+    # name-keyed implementation
+    tree = make_tree(shape, size)
+    receivers = list(tree.receivers)
+    random.Random(1).shuffle(receivers)
+    tree = permuted(tree, 2, receivers)
+    text = serialize_topology(tree, random_config(tree, 0))
+
+    def digest(s: str) -> str:
+        return hashlib.sha256(s.encode()).hexdigest()[:16]
+
+    assert digest(repr(tree.edges())) == edges_digest
+    assert digest(text) == file_digest
+
+
+@pytest.mark.parametrize(
+    "shape, size",
+    [("star", 20_000), ("tall_binary", 20_000), ("perfect_ternary", 3**9)],
+)
+def test_tree_holds_at_most_350_bytes_per_node(shape, size):
+    # names and labels are stored once, the layout in int arrays; trees
+    # keyed by name in dicts held 430-500 bytes per node on these shapes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tree = make_tree(shape, size)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / (len(tree.edges()) + 1) <= 350
 
 
 # -- ancestry against the reference ----------------------------------------
