@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InconsistentAnswer, InsufficientReceivers, Stalled
 from .oracle import Pair
-from .results import InferenceResult, Step, Trace
+from .results import InferenceResult, Trace
 from .topology import JoiningConfig, LogicalTree, QuartetType
 
 # pairs per block when every pair is computed at once, which bounds the
@@ -235,17 +235,17 @@ def run_gbs(
     if tree.n_receivers < 2:
         raise InsufficientReceivers("the search needs at least 2 receivers")
     state = CandidateState(tree, propagate_equalities)
-    trace = Trace()
+    trace = Trace(tree.receivers)
     while not state.all_resolved():
         pair = select_quartet(state)
         if pair is None:
             raise Stalled(f"no eligible pair left; unresolved: {state.unresolved()}")
         answer = oracle.query(*pair).qtype
         apply_update(state, pair, answer)
-        trace.steps.append(Step(pair, answer))
+        trace.record(*tree._pair_indices(*pair), answer)
 
     return InferenceResult(
         joins=JoiningConfig(tree._joins_at(state.lo.tolist())),
-        queries_used=len(trace.steps),
+        queries_used=len(trace),
         trace=trace,
     )

@@ -16,7 +16,10 @@ simply be wrong).
 
 The working state is per receiver, over the immutable logical tree: its
 parent, leaf-edge label and depth (see WorkingTree).  A step costs
-amortized O(log N) on every tree shape.
+amortized O(log N) on every tree shape.  Receivers pass from the pick to
+the surgery as indices, and become names only for the oracle; each step
+is recorded in the trace's int columns, so the loop keeps no object past
+its step.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ import heapq
 from array import array
 
 from .errors import InsufficientReceivers, StructuralViolation
-from .oracle import Pair
-from .results import InferenceResult, Step, Trace
+from .results import InferenceResult, Trace, cut_order
 from .topology import JoiningConfig, LogicalTree, QuartetType
 
 
@@ -84,27 +86,29 @@ class WorkingTree:
             return None
         del self._open[p]
         self._stand[p] = survivor
-        g = self.parent[survivor] = self.tree._parent[p]
+        self.parent[survivor] = self.tree._parent[p]
         removed = self.tree._labels[p]
         if not keep_leaf_edge:
             removed, self.label[survivor] = self.label[survivor], removed
         d = self.depth[survivor] = self.depth[survivor] - 1
-        heapq.heappush(self._heap, -d * len(self.depth) + survivor)
+        # the heap's top is the entry pick_siblings took, of the pair's
+        # lower index, which this cut has deleted or lifted: replace it
+        heapq.heapreplace(self._heap, -d * len(self.depth) + survivor)
         return removed
 
 
-def pick_siblings(wt: WorkingTree) -> Pair:
+def pick_siblings(wt: WorkingTree) -> tuple[int, int]:
     """Deterministic pair policy: deepest receiver, then its lowest sibling.
 
-    Among the deepest live receivers the one with the lowest index is
-    taken; its sibling with the lowest index completes the pair.  Every
-    sibling of a deepest receiver is a leaf as deep as it (a non-leaf
-    sibling would hang a deeper leaf below it), so the pair comes out in
-    index order.  For the same reason a node is first picked only after
-    its last internal child was spliced out, when a receiver stands for
-    every child.  Those are sorted then, once; each step under the node
-    pairs the survivor so far, always the lowest live index, with the next
-    index in that order.
+    Returns the pair as two receiver indices.  Among the deepest live
+    receivers the one with the lowest index is taken; its sibling with the
+    lowest index completes the pair.  Every sibling of a deepest receiver
+    is a leaf as deep as it (a non-leaf sibling would hang a deeper leaf
+    below it), so the pair comes out in index order.  For the same reason
+    a node is first picked only after its last internal child was spliced
+    out, when a receiver stands for every child.  Those are sorted then,
+    once; each step under the node pairs the survivor so far, always the
+    lowest live index, with the next index in that order.
     """
     heap, parent, depth = wt._heap, wt.parent, wt.depth
     n = len(depth)
@@ -129,33 +133,26 @@ def pick_siblings(wt: WorkingTree) -> Pair:
         pending.sort(reverse=True)
         pending.pop()
         wt._open[p] = pending
-    rec = wt.tree.receivers
     if not pending:
-        raise StructuralViolation(f"deepest receiver {rec[first]!r} has no sibling leaf")
-    return rec[first], rec[pending[-1]]
+        name = wt.tree.receivers[first]
+        raise StructuralViolation(f"deepest receiver {name!r} has no sibling leaf")
+    return first, pending[-1]
 
 
 def apply_answer(
-    wt: WorkingTree, pair: Pair, answer: QuartetType, trace: Trace
+    wt: WorkingTree, first: int, second: int, answer: QuartetType, trace: Trace
 ) -> WorkingTree:
-    """One surgery step for the answered pair that pick_siblings returned.
+    """One surgery step for the pair of receiver indices that pick_siblings
+    returned and its answer.
 
-    Appends a Step to the trace and returns the tree.
+    Records the step in the trace and returns the tree.  A type-1 answer
+    also aliases ``first``'s join to ``second``'s; run_rea resolves it.
     """
-    first, second = pair
-    if answer == QuartetType.BOTH_ABOVE:
-        # joins coincide somewhere above; keep the sibling, remember the tie
-        trace.aliases[first] = second
-        deleted, survivor = first, second
-    elif answer == QuartetType.SECOND_ABOVE:
-        deleted, survivor = first, second
-    else:
-        deleted, survivor = second, first
-    index = wt.tree._rindex
-    d = index[deleted]
-    deleted_edge = wt.label[d]
-    contracted = wt.cut(d, index[survivor], answer == QuartetType.BOTH_BELOW)
-    trace.steps.append(Step(pair, answer, deleted, deleted_edge, contracted))
+    deleted, survivor = cut_order(first, second, answer)
+    # type 4 puts the survivor's join below the branching point too, so it
+    # keeps its leaf edge
+    contracted = wt.cut(deleted, survivor, answer == 4)
+    trace.record(first, second, answer, contracted)
     return wt
 
 
@@ -165,28 +162,28 @@ def run_rea(tree: LogicalTree, oracle) -> InferenceResult:
     if n < 2:
         raise InsufficientReceivers("receiver elimination needs at least 2 receivers")
     wt = WorkingTree(tree)
-    trace = Trace()
+    rec = tree.receivers
+    trace = Trace(rec, wt.label)
     for _ in range(n - 1):
         first, second = pick_siblings(wt)
-        answer = oracle.query(first, second)
-        apply_answer(wt, answer.pair, answer.qtype, trace)
+        answer = oracle.query(rec[first], rec[second])
+        apply_answer(wt, first, second, answer.qtype, trace)
 
     live = [k for k, p in enumerate(wt.parent) if p is not None]
     if len(live) != 1 or wt.parent[live[0]] != 0:
         raise StructuralViolation("working tree did not reduce to a single edge")
-    joins = {tree.receivers[live[0]]: wt.label[live[0]]}
-    # every answer but type 1 pins down the deleted receiver's leaf edge;
-    # a type-1 survivor outlives the receiver aliased to it, so walking
-    # the steps backwards finds its join already resolved
-    for step in reversed(trace.steps):
-        first, second = step.pair
-        if step.answer == QuartetType.BOTH_ABOVE:
-            joins[first] = joins[second]
-        else:
-            joins[step.deleted_receiver] = step.deleted_edge
+    # every answer but type 1 leaves the deleted receiver's join as its
+    # last leaf edge, and the one receiver left joins on its leaf edge; a
+    # type-1 survivor outlives the receiver aliased to it, so walking the
+    # steps backwards finds its join already resolved
+    joins = list(wt.label)
+    first, second, answer = trace.first, trace.second, trace.answer
+    for t in reversed(range(len(trace))):
+        if answer[t] == 1:
+            joins[first[t]] = joins[second[t]]
 
     return InferenceResult(
-        joins=JoiningConfig({r: joins[r] for r in tree.receivers}),
-        queries_used=len(trace.steps),
+        joins=JoiningConfig(dict(zip(rec, joins))),
+        queries_used=len(trace),
         trace=trace,
     )

@@ -268,7 +268,12 @@ class LogicalTree:
     def node_depth(self, node: str) -> int:
         # only receivers are keyed by name; a linear scan finds other nodes
         k = self._rindex.get(node)
-        return self._depth[self._names.index(node) if k is None else self._leaf[k]]
+        if k is not None:
+            return self._depth[self._leaf[k]]
+        try:
+            return self._depth[self._names.index(node)]
+        except ValueError:
+            raise InvalidTree(f"no node named {node!r}") from None
 
     # -- paths and ancestry ----------------------------------------------
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+
 import pytest
 
 from quartetmerge import (
@@ -14,6 +17,8 @@ from quartetmerge import (
     QuartetType,
     enumerate_valid_configs,
     make_tree,
+    random_config,
+    run_gbs,
     run_rea,
 )
 from quartetmerge.rea import WorkingTree, pick_siblings
@@ -51,9 +56,14 @@ def test_worked_example_full_trace(three_fork_tree, three_fork_config):
     assert res.trace.aliases == {"r2": "r3"}
 
 
+def picked(wt) -> tuple[str, str]:
+    """The pair pick_siblings returns, by receiver name."""
+    return tuple(wt.tree.receivers[k] for k in pick_siblings(wt))
+
+
 def test_initial_pick_is_deepest_then_lowest_sibling(three_fork_tree):
     wt = WorkingTree(three_fork_tree)
-    assert pick_siblings(wt) == ("r2", "r3")
+    assert picked(wt) == ("r2", "r3")
 
 
 def parent_names(wt) -> list[str | None]:
@@ -68,32 +78,32 @@ def live_under(wt, node) -> list[str]:
 
 def test_contract_inherits_parent_edge_label(three_fork_tree):
     wt = WorkingTree(three_fork_tree)
-    assert pick_siblings(wt) == ("r2", "r3")
+    assert picked(wt) == ("r2", "r3")
     removed = wt.cut(1, 2, keep_leaf_edge=False)
     assert removed == "e6"
     assert (wt.label[2], parent_names(wt)[2], wt.depth[2]) == ("e3", "b14", 2)
     assert wt.parent[1] is None
     assert live_under(wt, "b14") == ["r1", "r3", "r4"]
     assert "b23" not in parent_names(wt)
-    assert pick_siblings(wt) == ("r1", "r3")
+    assert picked(wt) == ("r1", "r3")
 
 
 def test_cut_keeping_the_leaf_edge_drops_the_parent_label(three_fork_tree):
     wt = WorkingTree(three_fork_tree)
-    assert pick_siblings(wt) == ("r2", "r3")
+    assert picked(wt) == ("r2", "r3")
     removed = wt.cut(1, 2, keep_leaf_edge=True)
     assert removed == "e3"
     assert (wt.label[2], parent_names(wt)[2], wt.depth[2]) == ("e6", "b14", 2)
     assert wt.parent[1] is None
     assert live_under(wt, "b14") == ["r1", "r3", "r4"]
     assert "b23" not in parent_names(wt)
-    assert pick_siblings(wt) == ("r1", "r3")
+    assert picked(wt) == ("r1", "r3")
 
 
 def test_cut_splices_nothing_under_the_root_or_a_fork():
     tree = LogicalTree("s", [("s", "a", "e1"), ("s", "b", "e2")], ["a", "b"])
     wt = WorkingTree(tree)
-    assert pick_siblings(wt) == ("a", "b")
+    assert picked(wt) == ("a", "b")
     assert wt.cut(0, 1, keep_leaf_edge=False) is None
     assert live_under(wt, "s") == ["b"]
     assert (parent_names(wt)[1], wt.label[1], wt.depth[1]) == ("s", "e2", 1)
@@ -102,11 +112,11 @@ def test_cut_splices_nothing_under_the_root_or_a_fork():
     fork = WorkingTree(make_tree("star", 3))
     hub = parent_names(fork)[0]
     assert hub != fork.tree.root
-    assert pick_siblings(fork) == ("r1", "r2")
+    assert picked(fork) == ("r1", "r2")
     assert fork.cut(0, 1, keep_leaf_edge=True) is None
     assert live_under(fork, hub) == ["r2", "r3"]
     assert (fork.label[1], fork.depth[1]) == (fork.tree.root_path("r2")[-1], 2)
-    assert pick_siblings(fork) == ("r2", "r3")
+    assert picked(fork) == ("r2", "r3")
 
 
 def test_two_receivers_take_one_query():
@@ -141,6 +151,59 @@ def test_trace_is_deterministic(three_fork_tree, three_fork_config):
         for _ in range(2)
     ]
     assert runs[0].trace.steps == runs[1].trace.steps
+
+
+def test_trace_steps_are_built_once_and_keep_edits():
+    tree = make_tree("perfect_binary", 32)
+    gt = GroundTruth(tree, random_config(tree, 4))
+    res, again = run_rea(tree, ExactOracle(gt)), run_rea(tree, ExactOracle(gt))
+    assert res == again
+    steps = res.trace.steps
+    assert res.trace.steps is steps
+    ones = [s.pair for s in steps if s.answer is QuartetType.BOTH_ABOVE]
+    assert len(ones) >= 2
+    assert list(res.trace.aliases.items()) == ones
+
+    k = next(k for k, s in enumerate(steps) if s.answer is not QuartetType.BOTH_ABOVE)
+    edited = dataclasses.replace(steps[k], answer=QuartetType.BOTH_ABOVE)
+    steps[k] = edited
+    assert res.trace.steps[k] is edited
+    assert steps[k].pair[0] in res.trace.aliases
+    assert res != again
+
+
+def test_gbs_trace_has_no_surgery_and_no_aliases():
+    tree = make_tree("perfect_binary", 16)
+    res = run_gbs(tree, ExactOracle(GroundTruth(tree, random_config(tree, 0))))
+    steps = res.trace.steps
+    assert len(steps) == res.queries_used
+    assert any(s.answer is QuartetType.BOTH_ABOVE for s in steps)
+    assert all(s.deleted_receiver is s.deleted_edge is s.contracted_edge is None for s in steps)
+    assert res.trace.aliases == {}
+
+
+@pytest.mark.parametrize(
+    "shape, size", [("tall_binary", 20_000), ("perfect_ternary", 3**9), ("star", 20_000)]
+)
+def test_step_loop_leaves_the_collector_idle(shape, size):
+    # each step's records die with the step, so the cyclic collector's
+    # allocation count never reaches a threshold; per-step records kept
+    # until the run ends trigger one collection every 350 steps or so
+    tree = make_tree(shape, size)
+    oracle = ExactOracle(GroundTruth(tree, random_config(tree, 0)))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run_rea(tree, oracle)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(starts) <= 1
 
 
 def test_alias_chain_resolves_through_coincident_joins(root_join_anchor):

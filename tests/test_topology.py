@@ -78,6 +78,13 @@ def test_root_with_single_child_is_allowed():
     assert tree.node_depth("h") == 1
 
 
+def test_node_depth_of_an_unknown_node_raises_invalid_tree():
+    tree = LogicalTree("s", [("s", "h", "e1"), ("h", "a", "e2"), ("h", "b", "e3")], ["a", "b"])
+    assert (tree.node_depth("s"), tree.node_depth("a")) == (0, 2)
+    with pytest.raises(InvalidTree, match="no node named 'no-such-node'"):
+        tree.node_depth("no-such-node")
+
+
 def test_trees_compare_by_structure():
     a = make_tree("star", 3)
     b = make_tree("star", 3)
