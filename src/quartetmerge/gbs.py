@@ -7,17 +7,22 @@ names.  The next pair to query is the one minimizing the worst-case
 surviving fraction of candidates over the four possible answers, with the
 benefit ratios of one pair sharing a denominator |P_i||P_j|.
 
-The search keeps every pair's worst case in one array and, after an
-answer, recomputes only the pairs that touch a receiver whose interval
-changed: two receivers, or one equality group.  Each pair's entry comes
-from the same float64 arithmetic whether it is refreshed or computed
-afresh, so the cache holds exactly what a full rescan would.
+The search keeps every pair's worst case in one float64 array, 8 bytes
+per pair and nothing else per pair, and after an answer recomputes only
+the pairs that touch a receiver whose interval changed: two receivers,
+or one equality group.  It does so a receiver at a time: receiver k's
+"line" holds the worst case of every pair through k, from k's lca depth
+with every receiver, which the tree gives in O(N).  Each entry comes from
+the same integer numerator and denominator and the same float64 division
+whether it is refreshed or computed afresh, so the cache holds exactly
+what a full rescan would.
 
 Selection arithmetic is exact.  Worst cases are compared as num/den in
-float64, and distinct rationals with numerator and denominator below
-2**26 cannot collide in double precision.  The denominator is
-|P_i||P_j|, so this holds while every interval has fewer than 2**13
-edges.
+float64, with num <= den.  Two such quotients with denominators below
+2**26 order in double precision exactly as the rationals do, ties
+included: distinct ones differ by at least 2**-52, more than their two
+roundings together.  The denominator is |P_i||P_j|, so this holds while
+every interval has fewer than 2**13 edges.
 
 Type-1 answers assert that two joins coincide.  By default that equality
 is not folded back into the intervals; ``propagate_equalities`` links the
@@ -26,6 +31,8 @@ two receivers so that later shrinks of one narrow the other as well.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import InconsistentAnswer, InsufficientReceivers, Stalled
@@ -33,9 +40,11 @@ from .oracle import Pair
 from .results import InferenceResult, Trace
 from .topology import JoiningConfig, LogicalTree, QuartetType
 
-# pairs per block when every pair is computed at once, which bounds the
-# temporaries of the set-up to a few hundred KiB at any receiver count
-_BLOCK = 4096
+# line entries per batch, for the set-up and the refresh alike: a batch
+# is as many whole lines as fit, and at least one, so its temporaries stay
+# near 130 KiB up to 2048 receivers and grow as one line beyond; smaller
+# batches pay more numpy calls per line
+_BLOCK = 2048
 
 
 class CandidateState:
@@ -46,12 +55,15 @@ class CandidateState:
     receiver's root path; a receiver is resolved when lo == hi.  Receivers
     whose root path is a single edge start resolved at zero cost.
 
-    Pairs (i, j), i < j, are numbered in nested-loop order; ``I``, ``J``
-    and ``branch_depth`` (the depth where the two root paths part) are
-    int32 arrays over that numbering.  ``wc`` holds each pair's worst-case
-    surviving fraction, and ``inf`` for a pair that is asked or whose
-    receivers are both resolved.  It is current except for the pairs that
-    touch a receiver in ``_changed``, which ``select_quartet`` refreshes.
+    Pairs (i, j), i < j, are numbered in nested-loop order, and ``wc``
+    holds each pair's worst-case surviving fraction in that order: row i
+    is one contiguous slice, and column k, the pairs (i, k) with i < k,
+    sits at ``_col_base[:k] + k``.  It is the only per-pair state.  An
+    entry is ``inf`` for a pair that is asked or whose receivers are both
+    resolved.  ``asked_with[k]`` lists the receivers asked with k, so that
+    a recomputed line keeps the asked pairs at ``inf``.  ``wc`` is
+    current except for the pairs that touch a receiver in ``_changed``,
+    which ``select_quartet`` refreshes.
     """
 
     def __init__(self, tree: LogicalTree, propagate_equalities: bool = False):
@@ -64,17 +76,9 @@ class CandidateState:
         # col_base[i] + i + 1 to col_base[i] + n - 1
         counts = np.arange(n - 1, -1, -1)
         self._col_base = np.cumsum(counts) - counts - np.arange(n) - 1
-        m = n * (n - 1) // 2
-        self.I = np.repeat(np.arange(n, dtype=np.int32), counts)
-        self.J = np.arange(m, dtype=np.int32)
-        self.J -= np.repeat(self._col_base.astype(np.int32), counts)
-        self.branch_depth = np.empty(m, dtype=np.int32)
-        self.asked = np.zeros(m, dtype=bool)
-        self.wc = np.empty(m)
-        for s in range(0, m, _BLOCK):
-            block = slice(s, s + _BLOCK)
-            self.branch_depth[block] = tree._lca_depths(self.I[block], self.J[block])
-            self.wc[block] = _worst_cases(self, block)
+        self.asked_with: list[list[int]] = [[] for _ in range(n)]
+        self.wc = np.empty(n * (n - 1) // 2)
+        _refresh(self, range(n))
         self._changed: set[int] = set()
         # receiver -> equality group id, and each group's receivers
         self._group = list(range(n))
@@ -127,24 +131,57 @@ class CandidateState:
         self._members[gi].extend(moved)
 
 
-def _worst_cases(state: CandidateState, sel) -> np.ndarray:
-    """Worst-case surviving fraction of the pairs at ``sel`` (a slice or an
-    index array), ``inf`` where a pair is asked or both its receivers are
-    resolved."""
-    I, J, d = state.I[sel], state.J[sel], state.branch_depth[sel]
-    loi, hii = state.lo[I], state.hi[I]
-    loj, hij = state.lo[J], state.hi[J]
-    si = hii - loi + 1
-    sj = hij - loj + 1
-    eligible = ((si > 1) | (sj > 1)) & ~state.asked[sel]
-    up_i = np.clip(np.minimum(hii, d) - loi + 1, 0, None)
-    dn_i = np.clip(hii - np.maximum(loi - 1, d), 0, None)
-    up_j = np.clip(np.minimum(hij, d) - loj + 1, 0, None)
-    dn_j = np.clip(hij - np.maximum(loj - 1, d), 0, None)
-    # a type-1 answer puts both joins on one shared-prefix edge, so up_i
-    # alone counts its surviving candidate pairs
-    num = np.maximum.reduce([up_i, up_i * dn_j, dn_i * up_j, dn_i * dn_j])
-    return np.where(eligible, num / (si * sj), np.inf)
+def _lines(state: CandidateState, ks: Sequence[int]) -> np.ndarray:
+    """Worst case of every pair through each receiver in ``ks``, one row
+    per receiver: in k's line, column i < k is the pair (i, k) and column
+    j > k the pair (k, j).  An entry is ``inf`` where the pair is asked or
+    both its receivers are resolved; column k itself means nothing."""
+    tree, lo, hi = state.tree, state.lo, state.hi
+    d = np.empty((len(ks), len(lo)), dtype=np.int32)
+    for row, k in zip(d, ks):
+        tree._lca_depths(k, row)
+    kc = np.array(ks)[:, None]
+    s = hi - lo + 1
+    sk = s[kc]
+    # candidates on the shared prefix of the column's receiver (up) and
+    # of k (upk); dn and dnk count the rest.  In place, to keep few
+    # batch-sized temporaries alive at once
+    up = np.minimum(hi, d)
+    up -= lo - 1
+    np.maximum(up, 0, out=up)
+    upk = np.minimum(hi[kc], d)
+    upk -= lo[kc] - 1
+    np.maximum(upk, 0, out=upk)
+    del d
+    dn = s - up
+    dnk = sk - upk
+    num = up * dnk
+    np.maximum(num, np.multiply(dn, upk), out=num)
+    np.maximum(num, np.multiply(dn, dnk, out=dn), out=num)
+    del dn, dnk
+    # a type-1 answer puts both joins on one shared-prefix edge, so the
+    # first receiver's up alone counts its surviving candidate pairs: the
+    # column's for i < k, and k's for j > k
+    np.copyto(up, upk, where=np.arange(len(lo)) > kc)
+    np.maximum(num, up, out=num)
+    del up, upk
+    wc = num / (s * sk)
+    wc[(s == 1) & (sk == 1)] = np.inf
+    for line, k in zip(wc, ks):
+        line[state.asked_with[k]] = np.inf
+    return wc
+
+
+def _refresh(state: CandidateState, ks: Sequence[int]) -> None:
+    """Recompute the cached worst case of every pair through a receiver
+    in ``ks``, in batches of at most _BLOCK line entries or one line."""
+    wc, base, n = state.wc, state._col_base, len(state.lo)
+    rows = max(1, _BLOCK // n)
+    for start in range(0, len(ks), rows):
+        batch = ks[start : start + rows]
+        for k, line in zip(batch, _lines(state, batch)):
+            wc[base[k] + k + 1 : base[k] + n] = line[k + 1 :]
+            wc[base[:k] + k] = line[:k]
 
 
 def select_quartet(state: CandidateState) -> Pair | None:
@@ -155,32 +192,26 @@ def select_quartet(state: CandidateState) -> Pair | None:
     later updates only narrow them, so asking again would shrink nothing.
 
     First brings ``state.wc`` up to date.  A pair's worst case depends only
-    on its two intervals and whether it was asked, so only the pairs that
-    touch a receiver in ``state._changed`` are recomputed: receiver k's row
-    (k, j > k) and its column (i < k, k), gathered into one index array.
-    Ties break in nested-loop order (ascending first index, then second),
-    which is the cache's order, so argmin's first-minimum rule matches the
-    enumeration exactly.  Returns None when nothing is eligible.
+    on its two intervals and whether it was asked, so only the lines of
+    the receivers in ``state._changed`` are recomputed.  Ties break in
+    nested-loop order (ascending first index, then second), which is the
+    cache's order, so argmin's first-minimum rule matches the enumeration
+    exactly.  Returns None when nothing is eligible.
     """
     wc = state.wc
     if state._changed:
-        base, n = state._col_base, len(state.lo)
-        idx = np.concatenate(
-            [
-                part
-                for k in state._changed
-                for part in (np.arange(base[k] + k + 1, base[k] + n), base[:k] + k)
-            ]
-        )
-        wc[idx] = _worst_cases(state, idx)
+        _refresh(state, list(state._changed))
         state._changed.clear()
     if not wc.size:
         return None
     p = int(np.argmin(wc))
     if wc[p] == np.inf:
         return None
+    # row i starts right after col_base[i] + i, which rises with i
+    base = state._col_base
+    i = int(np.searchsorted(base + np.arange(len(base)), p)) - 1
     rec = state.tree.receivers
-    return rec[int(state.I[p])], rec[int(state.J[p])]
+    return rec[i], rec[p - int(base[i])]
 
 
 def apply_update(state: CandidateState, pair: Pair, answer: QuartetType) -> None:
@@ -194,8 +225,7 @@ def apply_update(state: CandidateState, pair: Pair, answer: QuartetType) -> None
     cannot happen with an exact oracle.
     """
     i, j = state.tree._pair_indices(*pair)
-    p = int(state._col_base[min(i, j)]) + max(i, j)
-    d = int(state.branch_depth[p])
+    d = state.tree._lca_depth_at(i, j)
     halves = (
         (i, answer in (QuartetType.BOTH_ABOVE, QuartetType.FIRST_ABOVE)),
         (j, answer in (QuartetType.BOTH_ABOVE, QuartetType.SECOND_ABOVE)),
@@ -213,8 +243,9 @@ def apply_update(state: CandidateState, pair: Pair, answer: QuartetType) -> None
         new.append((k, nlo, nhi))
     for k, nlo, nhi in new:
         state._set_interval(k, nlo, nhi)
-    state.asked[p] = True
-    state.wc[p] = np.inf
+    state.asked_with[i].append(j)
+    state.asked_with[j].append(i)
+    state.wc[int(state._col_base[min(i, j)]) + max(i, j)] = np.inf
     if state.propagate:
         if answer == QuartetType.BOTH_ABOVE:
             state._union(i, j)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadSpec
 from .topology import GroundTruth, QuartetType
@@ -30,9 +31,12 @@ class OracleStats:
     quartet_queries: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class OracleAnswer:
-    """An answered quartet: the index-ascending pair and its type."""
+class OracleAnswer(NamedTuple):
+    """An answered quartet: the index-ascending pair and its type.
+
+    The oracle builds one per query, and a named tuple builds faster than
+    a frozen dataclass.
+    """
 
     pair: Pair
     qtype: QuartetType
@@ -97,7 +101,7 @@ class Oracle:
         stats = self.stats
         stats.total_queries += self._probes
         stats.quartet_queries += 1
-        return OracleAnswer(pair=(ri, rj), qtype=qtype)
+        return OracleAnswer((ri, rj), qtype)
 
 
 # without a NoiseSpec the oracle is exact; callers that build one for

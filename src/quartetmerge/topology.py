@@ -317,24 +317,22 @@ class LogicalTree:
         b = level[hi - (1 << k) + 1]
         return a if a < b else b
 
-    def _lca_depths(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        """lca depth of every receiver pair (I[p], J[p]), given by receiver
-        index: the array form of _range_min, with the pairs grouped by the
-        table level their planar span needs.  Callers pass a few thousand
-        pairs at a time, which bounds the temporaries."""
-        pos = np.asarray(self._pos)
-        pi, pj = pos[I], pos[J]
-        # the adjacent-lca depths lo .. hi-1 span the pair
-        lo = np.minimum(pi, pj)
-        hi = np.maximum(pi, pj)
-        level = np.frexp(hi - lo)[1] - 1
-        out = np.empty(len(lo), dtype=np.int32)
-        for k, view in enumerate(self._sparse):
-            sel = np.flatnonzero(level == k)
-            if sel.size:
-                table = np.asarray(view)
-                out[sel] = np.minimum(table[lo[sel]], table[hi[sel] - (1 << k)])
-        return out
+    def _lca_depths(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """lca depth of receiver k with every receiver, in receiver order,
+        written to ``out`` (int32, one entry per receiver) when given;
+        entry k is k's own depth.
+
+        The row form of _range_min: running minima of the adjacent-lca
+        depths outwards from k's planar position, one rightwards and one
+        leftwards, give k's lca depth with every planar position in O(N).
+        """
+        adjacent = np.asarray(self._sparse[0])
+        q = self._pos[k]
+        row = np.empty(len(adjacent) + 1, dtype=np.int32)
+        row[q] = self._depth[self._leaf[k]]
+        np.minimum.accumulate(adjacent[q:], out=row[q + 1 :])
+        np.minimum.accumulate(adjacent[:q][::-1], out=row[:q][::-1])
+        return np.take(row, self._pos, out=out)
 
     def _pair_indices(self, ri: str, rj: str) -> tuple[int, int]:
         """Receiver indices of two distinct receivers."""

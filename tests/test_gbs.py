@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quartetmerge import (
@@ -75,11 +77,16 @@ class TestBranchDepths:
         ids=["star", "one-level-2", "one-level-3"],
     )
     def test_match_lca_depth(self, tree):
-        state = CandidateState(tree)
+        # receiver k's row holds its lca depth with every receiver, and its
+        # own depth at k
         rec = tree.receivers
-        assert [int(d) for d in state.branch_depth] == [
-            tree.lca_depth(rec[i], rec[j]) for i, j in zip(state.I, state.J)
-        ]
+        for k, r in enumerate(rec):
+            row = tree._lca_depths(k)
+            assert row.dtype == np.int32
+            assert [int(d) for d in row] == [
+                tree.node_depth(r) if i == k else tree.lca_depth(r, other)
+                for i, other in enumerate(rec)
+            ]
 
 
 class TestSelection:
@@ -209,6 +216,20 @@ class TestRuns:
         res = run_gbs(tree, ExactOracle(GroundTruth(tree, config)))
         assert res.matches(config)
         assert res.queries_used == 2
+
+    def test_run_holds_at_most_12_bytes_per_pair(self):
+        # the cached worst cases take 8 bytes per pair; the line batches,
+        # the asked lists and the trace take O(N) more
+        n = 512
+        tree = make_tree("perfect_binary", n)
+        oracle = oracle_for(tree, random_config(tree, 0).joins)
+        tracemalloc.start()
+        try:
+            run_gbs(tree, oracle, propagate_equalities=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * (n - 1) // 2) <= 12
 
     def test_stall_guard(self, three_fork_tree, monkeypatch):
         import quartetmerge.gbs as gbs_mod

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from quartetmerge import (
     OracleAnswer,
     QuartetMergeError,
     QuartetType,
+    all_pairs,
     enumerate_valid_configs,
     identifies,
     is_valid_config,
@@ -28,10 +30,11 @@ from quartetmerge import (
     run_rea,
     serialize_topology,
 )
-from quartetmerge.gbs import CandidateState, _worst_cases, apply_update, select_quartet
+from quartetmerge.gbs import CandidateState, apply_update, select_quartet
 from quartetmerge.topology import PlacementScan
 from reference import (
     RefPlacementScan,
+    compute_benefits,
     ref_enumerate,
     ref_gbs,
     ref_is_valid,
@@ -252,38 +255,86 @@ def test_gbs_matches_the_answer_cache_reference(inst, propagate, noise):
 )
 @settings(deadline=None)
 def test_gbs_worst_case_cache_matches_a_full_recompute(tree, seed, noisy, propagate):
-    # select_quartet refreshes only the pairs an answer touched; after
-    # every update the cache must hold, bit for bit, what recomputing
-    # every pair gives, and the pair it returns must be that array's
-    # first minimum
+    # select_quartet refreshes only the lines of the receivers an answer
+    # moved; after every update the cache must hold, bit for bit, every
+    # pair's worst case rebuilt from scratch with the same intervals and
+    # asked pairs, and the pair it returns must be that array's first
+    # minimum.  float() of the exact Fraction rounds num/den correctly,
+    # as float64 division of the integers does.
     gt = GroundTruth(tree, random_config(tree, seed))
     oracle = Oracle(gt, NoiseSpec(p=0.1, seed=seed) if noisy else None)
     state = CandidateState(tree, propagate)
+    pairs = all_pairs(tree)
+    asked = set()
     while not state.all_resolved():
         pair = select_quartet(state)
-        full = _worst_cases(state, slice(None))
-        assert np.array_equal(state.wc, full)
+        full = np.array([
+            np.inf
+            if p in asked or (state.is_resolved(p[0]) and state.is_resolved(p[1]))
+            else float(compute_benefits(state, *p).worst_case)
+            for p in pairs
+        ])
+        assert state.wc.tobytes() == full.tobytes()
         if pair is None:
             assert np.all(full == np.inf)
             return
-        p = int(np.argmin(full))
-        rec = tree.receivers
-        assert pair == (rec[state.I[p]], rec[state.J[p]])
+        assert pair == pairs[int(np.argmin(full))]
         try:
             apply_update(state, pair, oracle.query(*pair).qtype)
         except QuartetMergeError:
             return
+        asked.add(pair)
 
 
 @given(trees(max_receivers=12))
 @settings(deadline=None)
 def test_gbs_branch_depths_match_lca_depth(tree):
-    state = CandidateState(tree)
+    # receiver k's row holds its lca depth with every receiver and its own
+    # depth at k, returned fresh or written into a given row
     rec = tree.receivers
-    assert state.branch_depth.dtype == np.int32
-    assert [int(d) for d in state.branch_depth] == [
-        tree.lca_depth(rec[i], rec[j]) for i, j in zip(state.I, state.J)
-    ]
+    for k, r in enumerate(rec):
+        expected = [
+            tree.node_depth(r) if i == k else tree.lca_depth(r, other)
+            for i, other in enumerate(rec)
+        ]
+        row = tree._lca_depths(k)
+        assert row.dtype == np.int32
+        assert [int(d) for d in row] == expected
+        out = np.full(len(rec), -1, dtype=np.int32)
+        assert tree._lca_depths(k, out) is out
+        assert [int(d) for d in out] == expected
+
+
+_DEN = 2**26
+
+
+@st.composite
+def quotient_pairs(draw):
+    """Two quotients num/den with 0 <= num <= den < 2**26: unrelated, equal
+    as rationals, or neighbours at a multiple of the first's denominator."""
+    den = draw(st.integers(1, _DEN - 1))
+    num = draw(st.integers(0, den))
+    kind = draw(st.sampled_from(["free", "tie", "near"]))
+    if kind == "free":
+        den2 = draw(st.integers(1, _DEN - 1))
+        return num, den, draw(st.integers(0, den2)), den2
+    k = draw(st.integers(1, (_DEN - 1) // den))
+    if kind == "tie":
+        return num, den, num * k, den * k
+    den2 = min(max(den * k + draw(st.integers(-1, 1)), 1), _DEN - 1)
+    num2 = min(max(num * k + draw(st.integers(-1, 1)), 0), den2)
+    return num, den, num2, den2
+
+
+@given(quotient_pairs())
+def test_float64_quotients_order_like_fractions(q):
+    # gbs compares worst cases as float64 num/den, which must order them
+    # exactly as the rationals, ties included
+    a, b, c, d = q
+    x, y = np.array([a, c], dtype=np.int64) / np.array([b, d], dtype=np.int64)
+    fx, fy = Fraction(a, b), Fraction(c, d)
+    assert (x < y) == (fx < fy)
+    assert (x == y) == (fx == fy)
 
 
 @given(trees(max_receivers=10), st.data())
