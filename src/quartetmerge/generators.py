@@ -10,6 +10,7 @@ built tree equals the index order.
 from __future__ import annotations
 
 import random
+from itertools import count, islice
 
 from .errors import BadSpec
 from .topology import JoiningConfig, LogicalTree, PlacementScan, _NearestBlockers
@@ -24,13 +25,14 @@ def star(n: int) -> LogicalTree:
     """
     if n < 2:
         raise BadSpec(f"star needs at least 2 receivers, got {n}")
-    edges = [("s1", "b1", "e1")]
-    receivers = []
-    for k in range(1, n + 1):
-        r = f"r{k}"
-        edges.append(("b1", r, f"e{k + 1}"))
-        receivers.append(r)
-    return LogicalTree("s1", edges, receivers)
+    receivers = [f"r{k}" for k in range(1, n + 1)]
+
+    def edges():
+        yield "s1", "b1", "e1"
+        for k, r in enumerate(receivers, 2):
+            yield "b1", r, f"e{k}"
+
+    return LogicalTree("s1", edges(), receivers)
 
 
 def tall_binary(n: int) -> LogicalTree:
@@ -42,47 +44,44 @@ def tall_binary(n: int) -> LogicalTree:
     """
     if n < 2:
         raise BadSpec(f"tall_binary needs at least 2 receivers, got {n}")
-    edges = [("s1", "b1", "e1")]
-    labels = iter(range(2, 2 * n))
-    for k in range(1, n):
-        b = f"b{k}"
-        if k < n - 1:
+    receivers = [f"r{k}" for k in range(1, n + 1)]
+
+    def edges():
+        yield "s1", "b1", "e1"
+        b = "b1"
+        for k in range(1, n - 1):
             # continue the chain before hanging this node's own leaf, so
             # the planar leaf order matches the receiver indexing
-            edges.append((b, f"b{k + 1}", f"e{next(labels)}"))
-            edges.append((b, f"r{n + 1 - k}", f"e{next(labels)}"))
-        else:
-            edges.append((b, "r1", f"e{next(labels)}"))
-            edges.append((b, "r2", f"e{next(labels)}"))
-    receivers = [f"r{k}" for k in range(1, n + 1)]
-    return LogicalTree("s1", edges, receivers)
+            c = f"b{k + 1}"
+            yield b, c, f"e{2 * k}"
+            yield b, receivers[n - k], f"e{2 * k + 1}"
+            b = c
+        yield b, receivers[0], f"e{2 * n - 2}"
+        yield b, receivers[1], f"e{2 * n - 1}"
+
+    return LogicalTree("s1", edges(), receivers)
 
 
 def _perfect(arity: int, depth: int) -> LogicalTree:
     if depth < 1:
         raise BadSpec(f"depth must be >= 1, got {depth}")
-    n_leaves = arity**depth
-    edges = [("s1", "b1", "e1")]
-    label = 2
-    next_b = 2
-    frontier = ["b1"]
-    for level in range(1, depth + 1):
-        new_frontier = []
-        leaf = 1
-        for node in frontier:
-            for _ in range(arity):
-                if level == depth:
-                    child = f"r{leaf}"
-                    leaf += 1
-                else:
-                    child = f"b{next_b}"
-                    next_b += 1
-                edges.append((node, child, f"e{label}"))
-                label += 1
-                new_frontier.append(child)
-        frontier = new_frontier
-    receivers = [f"r{k}" for k in range(1, n_leaves + 1)]
-    return LogicalTree("s1", edges, receivers)
+    receivers = [f"r{k}" for k in range(1, arity**depth + 1)]
+
+    def edges():
+        yield "s1", "b1", "e1"
+        labels = (f"e{k}" for k in count(2))
+        names = (f"b{k}" for k in count(2))
+        frontier = ["b1"]
+        for level in range(1, depth + 1):
+            children = names if level < depth else iter(receivers)
+            below = []
+            for node in frontier:
+                for child in islice(children, arity):
+                    yield node, child, next(labels)
+                    below.append(child)
+            frontier = below
+
+    return LogicalTree("s1", edges(), receivers)
 
 
 def perfect_binary(depth: int) -> LogicalTree:

@@ -37,13 +37,14 @@ class WorkingTree:
 
     Surgery deletes a leaf or lifts a surviving leaf into its grandparent,
     and never moves or relabels an internal node, so the logical tree
-    serves every internal node, by id.  Three lists indexed by receiver
-    hold the current ``parent`` node (None once cut off), leaf-edge
-    ``label`` and ``depth``.  A receiver stands for each node: a leaf's
-    own, or the survivor lifted out of a spliced node.  Only the nodes
-    picked and not yet spliced keep a list, of their children's standing
-    receivers.  A step costs amortized O(log N) on every tree shape: a
-    heap push per lift, a pop per stale entry, and one sort per node.
+    serves every internal node, by id.  Indexed by receiver, two int
+    arrays hold the current ``parent`` node (-1 once cut off) and
+    ``depth``, and a list the leaf-edge ``label``.  A receiver stands for
+    each node: a leaf's own, or the survivor lifted out of a spliced node.
+    Only the nodes picked and not yet spliced keep a list, of their
+    children's standing receivers.  A step costs amortized O(log N) on
+    every tree shape: a heap push per lift, a pop per stale entry, and one
+    sort per node.
     """
 
     __slots__ = ("tree", "parent", "label", "depth", "_heap", "_stand", "_open")
@@ -51,9 +52,9 @@ class WorkingTree:
     def __init__(self, tree: LogicalTree):
         self.tree = tree
         leaf = tree._leaf
-        self.parent = list(map(tree._parent.__getitem__, leaf))
+        self.parent = array("i", map(tree._parent.__getitem__, leaf))
         self.label = list(map(tree._labels.__getitem__, leaf))
-        self.depth = list(map(tree._depth.__getitem__, leaf))
+        self.depth = array("i", map(tree._depth.__getitem__, leaf))
         self._stand = array("i", [-1]) * len(tree._parent)
         for k, v in enumerate(leaf):
             self._stand[v] = k
@@ -79,7 +80,7 @@ class WorkingTree:
         disappeared, or None when nothing was spliced.
         """
         p = self.parent[deleted]
-        self.parent[deleted] = None
+        self.parent[deleted] = -1
         pending = self._open[p]
         pending.pop()
         if pending or p == 0:  # the root is node 0
@@ -115,7 +116,7 @@ def pick_siblings(wt: WorkingTree) -> tuple[int, int]:
     while heap:
         neg_depth, first = divmod(heap[0], n)
         p = parent[first]
-        if p is not None and depth[first] == -neg_depth:
+        if p >= 0 and depth[first] == -neg_depth:
             break
         heapq.heappop(heap)
     else:
@@ -169,14 +170,15 @@ def run_rea(tree: LogicalTree, oracle) -> InferenceResult:
         answer = oracle.query(rec[first], rec[second])
         apply_answer(wt, first, second, answer.qtype, trace)
 
-    live = [k for k, p in enumerate(wt.parent) if p is not None]
-    if len(live) != 1 or wt.parent[live[0]] != 0:
+    # one receiver left, under the root, and every other one cut off
+    if wt.parent.count(-1) != n - 1 or wt.parent.count(0) != 1:
         raise StructuralViolation("working tree did not reduce to a single edge")
     # every answer but type 1 leaves the deleted receiver's join as its
     # last leaf edge, and the one receiver left joins on its leaf edge; a
     # type-1 survivor outlives the receiver aliased to it, so walking the
     # steps backwards finds its join already resolved
     joins = list(wt.label)
+    del wt  # its arrays and heap go before the result is built
     first, second, answer = trace.first, trace.second, trace.answer
     for t in reversed(range(len(trace))):
         if answer[t] == 1:

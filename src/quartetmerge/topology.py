@@ -23,6 +23,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -90,8 +91,11 @@ class LogicalTree:
 
     Construction validates the full shape contract: one root, acyclic and
     connected, no relay nodes (non-root internal nodes have out-degree >= 2),
-    and the receiver sequence names exactly the leaves.  Instances never
-    mutate after construction and are safe to share.
+    and the receiver sequence names exactly the leaves.  The edges are read
+    once, in order, so a generator serves as well as a list and spares the
+    caller a copy of every edge; a malformed edge raises at the same edge
+    either way.  Instances never mutate after construction and are safe to
+    share.
 
     Nodes are the ints 0..V-1 in depth-first preorder, children in the
     order their edges first appear, so the root is 0 and every subtree is
@@ -99,10 +103,11 @@ class LogicalTree:
     labels are each one tuple indexed by node id; parent, depth and end
     are int arrays, as are each receiver's leaf node and planar position
     and the receiver at each planar position.  Only two dicts key by
-    name: label to node id, and receiver name to index.  A sparse table
-    of range minima over the lca depths of adjacent leaves makes lca
-    queries O(1), as the oracles and samplers need at large N; its levels
-    are memoryviews, and level 0 is the adjacent-lca depths themselves.
+    name, label to node id and receiver name to index, and both take
+    their values from one set of int objects.  A sparse table of range
+    minima over the lca depths of adjacent leaves makes lca queries O(1),
+    as the oracles and samplers need at large N; its levels are
+    memoryviews, and level 0 is the adjacent-lca depths themselves.
     """
 
     __slots__ = ("root", "receivers", "_names", "_labels", "_parent", "_depth",
@@ -117,36 +122,48 @@ class LogicalTree:
     ):
         if not root or not isinstance(root, str):
             raise InvalidTree("root must be a non-empty string")
-        # Read the edges under temporary ids, dense in order of first
-        # appearance as parent or child; no edge list names more than
-        # twice as many nodes as edges.  Each node's children form a list
-        # linked through first/after, newest first: pushed onto the
-        # preorder stack in that order, the oldest child ends on top.
-        edges = list(edges)
-        size = 2 * len(edges)
+        # Read the edges in one pass, so any iterable will do, under
+        # temporary ids dense in order of first appearance as parent or
+        # child; the work lists grow by one slot per new node.  Each node's
+        # children form a list linked through first/after, newest first:
+        # pushed onto the preorder stack in that order, the oldest child
+        # ends on top.  The label dict that finds duplicates is the one the
+        # tree keeps, renumbered once the preorder ids are known.
         ids: dict[str, int] = {}
-        up = [-1] * size  # parent's temporary id
-        labels: list[str | None] = [None] * size  # of the incoming edge
-        first = [-1] * size  # newest child
-        after = [-1] * size  # next older sibling
-        seen: set[str] = set()
+        by_label: dict[str, int] = {}  # to the child's temporary id
+        up: list[int] = []  # parent's temporary id
+        labels: list[str | None] = []  # of the incoming edge
+        first: list[int] = []  # newest child
+        after: list[int] = []  # next older sibling
         for u, v, lab in edges:
             if not u or not v or not lab:
                 raise InvalidTree(f"empty field in edge ({u!r}, {v!r}, {lab!r})")
             if u == v:
                 raise InvalidTree(f"self-loop at {u!r}")
-            iu = ids.setdefault(u, len(ids))
-            iv = ids.setdefault(v, len(ids))
-            if up[iv] >= 0:
+            n = len(up)
+            iu = ids.setdefault(u, n)
+            if iu == n:
+                up.append(-1)
+                labels.append(None)
+                first.append(-1)
+                after.append(-1)
+                n += 1
+            iv = ids.setdefault(v, n)
+            if iv == n:
+                up.append(iu)
+                labels.append(lab)
+                first.append(-1)
+                after.append(first[iu])
+            elif up[iv] >= 0:
                 raise InvalidTree(f"node {v!r} has two incoming edges")
-            if lab in seen:
+            else:
+                up[iv] = iu
+                labels[iv] = lab
+                after[iv] = first[iu]
+            if by_label.setdefault(lab, iv) != iv:
                 raise InvalidTree(f"duplicate edge label {lab!r}")
-            seen.add(lab)
-            up[iv] = iu
-            labels[iv] = lab
-            after[iv] = first[iu]
             first[iu] = iv
-        if not edges:
+        if not up:
             raise InvalidTree("a tree needs at least one edge")
         top = ids.get(root)
         if top is None:
@@ -154,7 +171,10 @@ class LogicalTree:
         if up[top] >= 0:
             raise InvalidTree("root has an incoming edge")
         names = list(ids)
-        del edges, seen, ids  # lowers the peak of a large build
+        # ints[t] is t: the one int object of each value that the dicts
+        # of labels and receivers share at the end
+        ints = list(ids.values())
+        del ids  # lowers the peak of a large build
 
         # Preorder pass: a node's id is its place in the pass, and each
         # child's up slot takes its parent's id before the child is reached.
@@ -187,9 +207,10 @@ class LogicalTree:
         if relays:
             # name the relay that appears first in the edge list
             raise InvalidTree(f"relay node {names[min(relays)]!r} has out-degree 1")
+        del up, first, after
         names = tuple(map(names.__getitem__, order))
         labels = tuple(map(labels.__getitem__, order))
-        del up, first, after, order
+        del order
 
         rec = tuple(receivers)
         rindex = dict(zip(rec, range(len(rec))))
@@ -198,11 +219,13 @@ class LogicalTree:
         leaf_at = list(map(rindex.get, map(names.__getitem__, leaves)))
         if len(leaf_at) != len(rec) or None in leaf_at:
             raise InvalidTree("receivers must name exactly the leaves")
+        del rindex
         # planar position of each receiver: the inverse permutation
         pos = array("i", sorted(range(len(rec)), key=leaf_at.__getitem__))
         leaf = array("i", map(leaves.__getitem__, pos))
         # key the receivers by the node names, not the caller's strings
         rec = tuple(map(names.__getitem__, leaf))
+        leaf_at = array("i", leaf_at)
 
         # A subtree ends after its last leaf, found by following last
         # children down: each node points at its last child, a leaf at
@@ -216,6 +239,7 @@ class LogicalTree:
         # sparse table holds the minimum of these adjacent-lca depths over
         # every run of 2**k consecutive leaf pairs.
         sparse = [np.asarray(depth)[np.asarray(leaves)[:-1] + 1] - 1]
+        del leaves
         half = 1
         while len(sparse[-1]) > half:
             sparse.append(np.minimum(sparse[-1][:-half], sparse[-1][half:]))
@@ -229,16 +253,20 @@ class LogicalTree:
         self._labels = labels
         self._parent = parent
         self._depth = depth
-        self._end = memoryview(last + 1)
-        self._by_label = dict(zip(labels[1:], range(1, len(names))))
-        self._rindex = dict(zip(rec, range(len(rec))))
+        last += 1
+        self._end = memoryview(last)
         self._leaf = leaf
         self._pos = pos
-        self._leaf_at = array("i", leaf_at)
+        self._leaf_at = leaf_at
         # indexing a memoryview yields a plain int, which compares faster
         # than a numpy scalar; np.asarray reads one back without a copy
         self._sparse = [memoryview(level) for level in sparse]
-        self._planar = rec == tuple(map(names.__getitem__, leaves))
+        self._planar = pos == array("i", range(len(pos)))
+        # the dicts last, over the fewest live objects: label to node id
+        # in place, and receiver name to index, both valued from ints
+        by_label.update(zip(islice(labels, 1, None), islice(ints, 1, None)))
+        self._by_label = by_label
+        self._rindex = dict(zip(rec, ints))
 
     # -- basic accessors -------------------------------------------------
 
@@ -590,7 +618,7 @@ class _NearestBlockers:
 
 def _join_depths(
     tree: LogicalTree, config: JoiningConfig | Mapping[str, str]
-) -> list[int]:
+) -> array:
     """Edge depth of every receiver's join, by receiver index.
 
     Raises MisplacedJoin when a join is missing or is not an edge of its
@@ -598,7 +626,7 @@ def _join_depths(
     """
     joins = config.joins if isinstance(config, JoiningConfig) else config
     by_label, depth, leaf, end = tree._by_label, tree._depth, tree._leaf, tree._end
-    depths = []
+    depths = array("i")
     for k, r in enumerate(tree.receivers):
         if r not in joins:
             raise MisplacedJoin(f"no join assigned to receiver {r!r}")
@@ -658,7 +686,7 @@ class GroundTruth:
 
     tree: LogicalTree
     config: JoiningConfig
-    _join_depth: list[int] = field(init=False, repr=False, compare=False)
+    _join_depth: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         depths = _join_depths(self.tree, self.config)

@@ -252,6 +252,24 @@ def test_criterion_09_scale():
     assert time.perf_counter() - start < 60.0
 
 
+def test_rea_pipeline_peaks_at_most_650_bytes_per_receiver():
+    # one copy of each thing at every stage: the edges stream into the
+    # tree, and REA's per-receiver state and the join depths are int
+    # arrays; an edge list and lists of ints peaked at 891 B per receiver
+    n = 20_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tree = make_tree("tall_binary", n)
+        config = random_config(tree, 0)
+        res = run_rea(tree, oracle_for(tree, config))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.matches(config)
+    assert peak / n <= 650, peak / n
+
+
 @pytest.mark.parametrize("shape", ["star", "tall_binary"])
 def test_rea_time_grows_near_linearly(shape):
     # a ratio of two timings in one process holds across host speeds;

@@ -68,7 +68,7 @@ def test_initial_pick_is_deepest_then_lowest_sibling(three_fork_tree):
 
 def parent_names(wt) -> list[str | None]:
     """Each receiver's current parent by node name, None once cut off."""
-    return [None if p is None else wt.tree._names[p] for p in wt.parent]
+    return [None if p == -1 else wt.tree._names[p] for p in wt.parent]
 
 
 def live_under(wt, node) -> list[str]:
@@ -82,7 +82,7 @@ def test_contract_inherits_parent_edge_label(three_fork_tree):
     removed = wt.cut(1, 2, keep_leaf_edge=False)
     assert removed == "e6"
     assert (wt.label[2], parent_names(wt)[2], wt.depth[2]) == ("e3", "b14", 2)
-    assert wt.parent[1] is None
+    assert wt.parent[1] == -1
     assert live_under(wt, "b14") == ["r1", "r3", "r4"]
     assert "b23" not in parent_names(wt)
     assert picked(wt) == ("r1", "r3")
@@ -94,7 +94,7 @@ def test_cut_keeping_the_leaf_edge_drops_the_parent_label(three_fork_tree):
     removed = wt.cut(1, 2, keep_leaf_edge=True)
     assert removed == "e3"
     assert (wt.label[2], parent_names(wt)[2], wt.depth[2]) == ("e6", "b14", 2)
-    assert wt.parent[1] is None
+    assert wt.parent[1] == -1
     assert live_under(wt, "b14") == ["r1", "r3", "r4"]
     assert "b23" not in parent_names(wt)
     assert picked(wt) == ("r1", "r3")
@@ -107,7 +107,7 @@ def test_cut_splices_nothing_under_the_root_or_a_fork():
     assert wt.cut(0, 1, keep_leaf_edge=False) is None
     assert live_under(wt, "s") == ["b"]
     assert (parent_names(wt)[1], wt.label[1], wt.depth[1]) == ("s", "e2", 1)
-    assert wt.parent[0] is None
+    assert wt.parent[0] == -1
 
     fork = WorkingTree(make_tree("star", 3))
     hub = parent_names(fork)[0]
