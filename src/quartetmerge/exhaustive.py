@@ -79,22 +79,21 @@ def enumerate_valid_configs(
         raise TooLarge(f"{raw} raw combinations exceed the cap {max_raw}")
 
     receivers = tree.receivers
-    paths = [tree.root_path(r) for r in receivers]
     scan = PlacementScan(tree)
     out: list[JoiningConfig] = []
-    chosen: list[str] = []
+    chosen: list[int] = []  # join depths
 
     def descend(k: int) -> None:
         if k == n:
-            out.append(JoiningConfig(dict(zip(receivers, chosen))))
+            out.append(JoiningConfig._of(tree, tree._nodes_at(chosen)))
             return
         r = receivers[k]
         blocked, exception = scan.allowed(r)
-        depths = list(range(blocked + 1, len(paths[k]) + 1))
+        depths = list(range(blocked + 1, tree.node_depth(r) + 1))
         if exception is not None:
             depths.insert(0, exception)
         for cd in depths:
-            chosen.append(paths[k][cd - 1])
+            chosen.append(cd)
             scan.place(r, cd)
             descend(k + 1)
             scan.unplace(r)

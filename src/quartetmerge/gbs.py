@@ -276,7 +276,7 @@ def run_gbs(
         trace.record(*tree._pair_indices(*pair), answer)
 
     return InferenceResult(
-        joins=JoiningConfig(tree._joins_at(state.lo.tolist())),
+        joins=JoiningConfig._of(tree, tree._nodes_at(state.lo.tolist())),
         queries_used=len(trace),
         trace=trace,
     )

@@ -10,6 +10,7 @@ built tree equals the index order.
 from __future__ import annotations
 
 import random
+from array import array
 from itertools import count, islice
 
 from .errors import BadSpec
@@ -150,4 +151,4 @@ def random_config(tree: LogicalTree, seed: int) -> JoiningConfig:
             cd = blocked + 1 + pick
         chosen.append(cd)
         scan.place(r, cd)
-    return JoiningConfig(tree._joins_at(chosen))
+    return JoiningConfig._of(tree, tree._nodes_at(chosen))

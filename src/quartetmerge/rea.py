@@ -15,7 +15,7 @@ procedure total even under a noisy oracle (the returned map may then
 simply be wrong).
 
 The working state is per receiver, over the immutable logical tree: its
-parent, leaf-edge label and depth (see WorkingTree).  A step costs
+parent, leaf edge and depth, as ints (see WorkingTree).  A step costs
 amortized O(log N) on every tree shape.  Receivers pass from the pick to
 the surgery as indices, and become names only for the oracle; each step
 is recorded in the trace's int columns, so the loop keeps no object past
@@ -37,23 +37,23 @@ class WorkingTree:
 
     Surgery deletes a leaf or lifts a surviving leaf into its grandparent,
     and never moves or relabels an internal node, so the logical tree
-    serves every internal node, by id.  Indexed by receiver, two int
-    arrays hold the current ``parent`` node (-1 once cut off) and
-    ``depth``, and a list the leaf-edge ``label``.  A receiver stands for
-    each node: a leaf's own, or the survivor lifted out of a spliced node.
-    Only the nodes picked and not yet spliced keep a list, of their
+    serves every internal node, by id.  Indexed by receiver, three int
+    arrays hold the current ``parent`` node (-1 once cut off), leaf
+    ``edge`` (the id of its child end) and ``depth``.  A receiver stands
+    for each node: a leaf's own, or the survivor lifted out of a spliced
+    node.  Only the nodes picked and not yet spliced keep a list, of their
     children's standing receivers.  A step costs amortized O(log N) on
     every tree shape: a heap push per lift, a pop per stale entry, and one
     sort per node.
     """
 
-    __slots__ = ("tree", "parent", "label", "depth", "_heap", "_stand", "_open")
+    __slots__ = ("tree", "parent", "edge", "depth", "_heap", "_stand", "_open")
 
     def __init__(self, tree: LogicalTree):
         self.tree = tree
         leaf = tree._leaf
         self.parent = array("i", map(tree._parent.__getitem__, leaf))
-        self.label = list(map(tree._labels.__getitem__, leaf))
+        self.edge = array("i", leaf)
         self.depth = array("i", map(tree._depth.__getitem__, leaf))
         self._stand = array("i", [-1]) * len(tree._parent)
         for k, v in enumerate(leaf):
@@ -88,14 +88,14 @@ class WorkingTree:
         del self._open[p]
         self._stand[p] = survivor
         self.parent[survivor] = self.tree._parent[p]
-        removed = self.tree._labels[p]
+        removed = p
         if not keep_leaf_edge:
-            removed, self.label[survivor] = self.label[survivor], removed
+            removed, self.edge[survivor] = self.edge[survivor], removed
         d = self.depth[survivor] = self.depth[survivor] - 1
         # the heap's top is the entry pick_siblings took, of the pair's
         # lower index, which this cut has deleted or lifted: replace it
         heapq.heapreplace(self._heap, -d * len(self.depth) + survivor)
-        return removed
+        return self.tree._labels[removed]
 
 
 def pick_siblings(wt: WorkingTree) -> tuple[int, int]:
@@ -164,7 +164,7 @@ def run_rea(tree: LogicalTree, oracle) -> InferenceResult:
         raise InsufficientReceivers("receiver elimination needs at least 2 receivers")
     wt = WorkingTree(tree)
     rec = tree.receivers
-    trace = Trace(rec, wt.label)
+    trace = Trace(rec, JoiningConfig._of(tree, wt.edge))
     for _ in range(n - 1):
         first, second = pick_siblings(wt)
         answer = oracle.query(rec[first], rec[second])
@@ -177,7 +177,7 @@ def run_rea(tree: LogicalTree, oracle) -> InferenceResult:
     # last leaf edge, and the one receiver left joins on its leaf edge; a
     # type-1 survivor outlives the receiver aliased to it, so walking the
     # steps backwards finds its join already resolved
-    joins = list(wt.label)
+    joins = array("i", wt.edge)
     del wt  # its arrays and heap go before the result is built
     first, second, answer = trace.first, trace.second, trace.answer
     for t in reversed(range(len(trace))):
@@ -185,7 +185,7 @@ def run_rea(tree: LogicalTree, oracle) -> InferenceResult:
             joins[first[t]] = joins[second[t]]
 
     return InferenceResult(
-        joins=JoiningConfig(dict(zip(rec, joins))),
+        joins=JoiningConfig._of(tree, joins),
         queries_used=len(trace),
         trace=trace,
     )

@@ -11,7 +11,7 @@ read costs about 0.23 s per 100 000 steps with Python 3.11 on a shared
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .oracle import Pair
@@ -63,10 +63,10 @@ class Trace:
     """The steps of one run in order, plus REA's join aliases.
 
     ``record`` appends a step as two receiver indices, the answer and the
-    contracted edge label.  An REA trace also holds the run's list of
-    leaf-edge labels by receiver: a receiver's label never changes once
-    it is cut off, so the final list gives every step's deleted edge.  A
-    GBS trace has none, and its steps leave the surgery fields None.
+    contracted edge label.  An REA trace also holds the run's leaf-edge
+    labels keyed by receiver: a receiver's leaf edge never changes once it
+    is cut off, so the final ones give every step's deleted edge.  A GBS
+    trace has none, and its steps leave the surgery fields None.
 
     ``steps`` builds the Step records on first read and keeps that list,
     so an edit to it is what later reads return.  ``aliases`` maps each
@@ -77,7 +77,7 @@ class Trace:
 
     __slots__ = ("first", "second", "answer", "contracted", "_names", "_labels", "_steps")
 
-    def __init__(self, receivers: Sequence[str], labels: list[str] | None = None):
+    def __init__(self, receivers: Sequence[str], labels: Mapping[str, str] | None = None):
         self.first = array("i")
         self.second = array("i")
         self.answer = array("b")
@@ -105,9 +105,9 @@ class Trace:
             ]
             if self._labels is not None:
                 cols = zip(self.first, self.second, self.answer)
-                deleted = [cut_order(*col)[0] for col in cols]
+                deleted = [name(cut_order(*col)[0]) for col in cols]
                 fields += (
-                    map(name, deleted),
+                    deleted,
                     map(self._labels.__getitem__, deleted),
                     self.contracted,
                 )

@@ -21,10 +21,10 @@ Conventions used throughout:
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,17 +51,35 @@ class QuartetType(IntEnum):
     BOTH_BELOW = 4
 
 
-@dataclass(frozen=True)
-class JoiningConfig:
-    """One joining edge per receiver, keyed by receiver name."""
+class JoiningConfig(Mapping):
+    """One joining edge per receiver, keyed by receiver name.
 
-    joins: Mapping[str, str]
+    The samplers and the inference algorithms build theirs over a tree, as
+    the node id of each receiver's join by receiver index (see _of): the
+    name dict is then built on first name access, and validation, and
+    equality with a config over the same tree object, read the ids.
+    """
+
+    __slots__ = ("_joins", "_tree", "_nodes")
+
+    def __init__(self, joins: Mapping[str, str]):
+        self._joins, self._tree, self._nodes = joins, None, None
+
+    @classmethod
+    def _of(cls, tree: LogicalTree, nodes: array) -> JoiningConfig:
+        config = cls.__new__(cls)
+        config._joins, config._tree, config._nodes = None, tree, nodes
+        return config
+
+    @property
+    def joins(self) -> Mapping[str, str]:
+        if self._joins is None:
+            labels = map(self._tree._labels.__getitem__, self._nodes)
+            self._joins = dict(zip(self._tree.receivers, labels))
+        return self._joins
 
     def __getitem__(self, receiver: str) -> str:
         return self.joins[receiver]
-
-    def __contains__(self, receiver: str) -> bool:
-        return receiver in self.joins
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.joins)
@@ -69,21 +87,16 @@ class JoiningConfig:
     def __len__(self) -> int:
         return len(self.joins)
 
-    def keys(self):
-        return self.joins.keys()
-
-    def items(self):
-        return self.joins.items()
-
     def __hash__(self) -> int:
         return hash(frozenset(self.joins.items()))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, JoiningConfig):
-            return dict(self.joins) == dict(other.joins)
-        if isinstance(other, Mapping):
-            return dict(self.joins) == dict(other)
-        return NotImplemented
+        if isinstance(other, JoiningConfig) and other._tree is self._tree is not None:
+            return self._nodes == other._nodes
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"JoiningConfig(joins={self.joins!r})"
 
 
 class LogicalTree:
@@ -102,12 +115,13 @@ class LogicalTree:
     the run of ids from its root up to its end.  Names and incoming-edge
     labels are each one tuple indexed by node id; parent, depth and end
     are int arrays, as are each receiver's leaf node and planar position
-    and the receiver at each planar position.  Only two dicts key by
-    name, label to node id and receiver name to index, and both take
-    their values from one set of int objects.  A sparse table of range
-    minima over the lca depths of adjacent leaves makes lca queries O(1),
-    as the oracles and samplers need at large N; its levels are
-    memoryviews, and level 0 is the adjacent-lca depths themselves.
+    and the receiver at each planar position.  One dict keys by name,
+    receiver name to index: joins pass from sampling to result as node
+    ids, so the label-to-node dict is built on first use (_label_ids).  A
+    sparse table of range minima over the lca depths of adjacent leaves
+    makes lca queries O(1), as the oracles and samplers need at large N;
+    its levels are memoryviews, and level 0 is the adjacent-lca depths
+    themselves.
     """
 
     __slots__ = ("root", "receivers", "_names", "_labels", "_parent", "_depth",
@@ -127,8 +141,8 @@ class LogicalTree:
         # child; the work lists grow by one slot per new node.  Each node's
         # children form a list linked through first/after, newest first:
         # pushed onto the preorder stack in that order, the oldest child
-        # ends on top.  The label dict that finds duplicates is the one the
-        # tree keeps, renumbered once the preorder ids are known.
+        # ends on top.  The label dict that finds duplicates goes before
+        # the preorder pass; the tree builds its own on first use.
         ids: dict[str, int] = {}
         by_label: dict[str, int] = {}  # to the child's temporary id
         up: list[int] = []  # parent's temporary id
@@ -171,10 +185,7 @@ class LogicalTree:
         if up[top] >= 0:
             raise InvalidTree("root has an incoming edge")
         names = list(ids)
-        # ints[t] is t: the one int object of each value that the dicts
-        # of labels and receivers share at the end
-        ints = list(ids.values())
-        del ids  # lowers the peak of a large build
+        del ids, by_label  # lowers the peak of a large build
 
         # Preorder pass: a node's id is its place in the pass, and each
         # child's up slot takes its parent's id before the child is reached.
@@ -262,11 +273,8 @@ class LogicalTree:
         # than a numpy scalar; np.asarray reads one back without a copy
         self._sparse = [memoryview(level) for level in sparse]
         self._planar = pos == array("i", range(len(pos)))
-        # the dicts last, over the fewest live objects: label to node id
-        # in place, and receiver name to index, both valued from ints
-        by_label.update(zip(islice(labels, 1, None), islice(ints, 1, None)))
-        self._by_label = by_label
-        self._rindex = dict(zip(rec, ints))
+        self._by_label = None
+        self._rindex = dict(zip(rec, range(len(rec))))
 
     # -- basic accessors -------------------------------------------------
 
@@ -291,7 +299,14 @@ class LogicalTree:
         return self._labels[1:]
 
     def has_label(self, label: str) -> bool:
-        return label in self._by_label
+        return label in self._label_ids()
+
+    def _label_ids(self) -> dict[str, int]:
+        """Node id by incoming-edge label, built on the first call."""
+        if self._by_label is None:
+            labels = self._labels
+            self._by_label = dict(zip(islice(labels, 1, None), range(1, len(labels))))
+        return self._by_label
 
     def node_depth(self, node: str) -> int:
         # only receivers are keyed by name; a linear scan finds other nodes
@@ -316,26 +331,27 @@ class LogicalTree:
         out.reverse()
         return tuple(out)
 
-    def _joins_at(self, depths: Sequence[int]) -> dict[str, str]:
-        """Label of the edge at depth ``depths[k]`` on receiver k's root
-        path, for every receiver k, keyed in receiver order.
+    def _nodes_at(self, depths: Sequence[int]) -> array:
+        """Node at depth ``depths[k]`` on receiver k's root path, for
+        every receiver k: the child end of the edge at that depth.
 
         Replays the preorder a leaf at a time: the ids after one leaf up
-        to the next are a chain down from the pair's branch point, so
-        they overwrite the tail of the current root path in one slice,
-        and every leaf reads its label in O(1).
+        to the next, v at depth d, are a chain down from their branch
+        point, the one at depth x being v - d + x; one slice per leaf sets
+        that offset along the chain, and each leaf reads its node in O(1).
         """
-        depth, labels, leaf = self._depth, self._labels, self._leaf
-        path = [""] * max(depth)
-        out = [""] * len(leaf)
+        depth, leaf = self._depth, self._leaf
+        path = [0] * max(depth)  # chain offset by depth - 1
+        out = array("i", [0]) * len(leaf)
         prev = 0
         for k in self._leaf_at:
             v = leaf[k]
             d = depth[v]
-            path[d - (v - prev) : d] = labels[prev + 1 : v + 1]
-            out[k] = path[depths[k] - 1]
+            path[d - (v - prev) : d] = [v - d] * (v - prev)
+            x = depths[k]
+            out[k] = path[x - 1] + x
             prev = v
-        return dict(zip(self.receivers, out))
+        return out
 
     def _range_min(self, lo: int, hi: int) -> int:
         """Minimum adjacent-lca depth over planar positions lo..hi, inclusive."""
@@ -385,7 +401,7 @@ class LogicalTree:
     def on_root_path(self, label: str, r: str) -> bool:
         """True when the labelled edge lies on ``r``'s root path."""
         k = self.receiver_index(r)
-        v = self._by_label.get(label)
+        v = self._label_ids().get(label)
         if v is None:
             raise InvalidTree(f"no edge labelled {label!r}")
         return v <= self._leaf[k] < self._end[v]
@@ -439,9 +455,9 @@ class PlacementScan:
     When receivers are placed in planar order, _NearestBlockers answers
     the same constraints from a stack in amortized O(1) per receiver,
     about three times faster than this scan when sampling a planar
-    100 000-receiver caterpillar, so samplers and checks pick it for
-    planar orders.  Both offer allowed(r) and place(r, depth), so callers
-    drive either one the same way.
+    100 000-receiver caterpillar, so the sampler picks it for planar
+    orders.  Both offer allowed(r) and place(r, depth), so callers drive
+    either one the same way.
     """
 
     __slots__ = ("tree", "_size", "_lo", "_hi", "_cd")
@@ -616,37 +632,57 @@ class _NearestBlockers:
             cd.append(keep)
 
 
-def _join_depths(
+def _join_nodes(
     tree: LogicalTree, config: JoiningConfig | Mapping[str, str]
 ) -> array:
-    """Edge depth of every receiver's join, by receiver index.
+    """Node id of every receiver's join, the child end of its edge, by
+    receiver index.
 
-    Raises MisplacedJoin when a join is missing or is not an edge of its
-    receiver's root path.
+    Reads a config built over this tree by its node ids, and any other by
+    name.  Raises MisplacedJoin at the first receiver whose join is
+    missing or is not an edge of its root path.
     """
-    joins = config.joins if isinstance(config, JoiningConfig) else config
-    by_label, depth, leaf, end = tree._by_label, tree._depth, tree._leaf, tree._end
-    depths = array("i")
-    for k, r in enumerate(tree.receivers):
-        if r not in joins:
+    if isinstance(config, JoiningConfig) and config._tree is tree:
+        nodes, joins = config._nodes, None
+    else:
+        # -1 stands for an unknown label, -2 for a missing join
+        joins, by_label = config, tree._label_ids()
+        nodes = array("i", [by_label.get(joins[r], -1) if r in joins else -2
+                            for r in tree.receivers])
+    v, leaf = np.asarray(nodes), np.asarray(tree._leaf)
+    off_path = np.flatnonzero((v < 0) | (v > leaf) | (leaf >= np.asarray(tree._end)[v]))
+    if off_path.size:
+        k = off_path[0]
+        r = tree.receivers[k]
+        if v[k] == -2:
             raise MisplacedJoin(f"no join assigned to receiver {r!r}")
-        label = joins[r]
-        v = by_label.get(label)
-        if v is None or not v <= leaf[k] < end[v]:
-            raise MisplacedJoin(f"join {label!r} is not on the root path of {r!r}")
-        depths.append(depth[v])
-    return depths
+        label = tree._labels[v[k]] if joins is None else joins[r]
+        raise MisplacedJoin(f"join {label!r} is not on the root path of {r!r}")
+    return nodes
 
 
-def _depths_valid(tree: LogicalTree, depths: Sequence[int]) -> bool:
-    """The pairwise shared-prefix rule over join depths by receiver index."""
-    blockers = _NearestBlockers(tree)
-    for k in tree._leaf_at:
-        cd = depths[k]
-        blocked, exception = blockers.allowed(k)
-        if cd <= blocked and cd != exception:
+def _nodes_valid(tree: LogicalTree, nodes: array) -> bool:
+    """The pairwise shared-prefix rule over join nodes by receiver index.
+
+    Two distinct joins on a pair's shared prefix lie on one root path, so
+    the lower one's leaf span holds a receiver that joins above it; and
+    such a receiver puts both joins on the prefix it shares with the lower
+    join's receiver.  So a map is valid iff no join's leaf span holds a
+    shallower join depth.  Level k of a sparse table of join depths in
+    planar order takes the spans of 2**k to 2**(k+1) - 1 leaves.
+    """
+    v, planar = np.asarray(nodes), np.asarray(tree._leaf_at)
+    depth = np.asarray(tree._depth)[v]
+    leaves = np.asarray(tree._leaf)[planar]  # ascending
+    lo = np.searchsorted(leaves, v)
+    hi = np.searchsorted(leaves, np.asarray(tree._end)[v])
+    size = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo))
+    run = depth[planar]
+    for k in range(int(size.max()) + 1):
+        at = np.flatnonzero(size == k)
+        if (np.minimum(run[lo[at]], run[hi[at] - (1 << k)]) < depth[at]).any():
             return False
-        blockers.place(k, cd)
+        run = np.minimum(run[: -(1 << k)], run[1 << k :])
     return True
 
 
@@ -658,11 +694,10 @@ def is_valid_config(tree: LogicalTree, config: JoiningConfig | Mapping[str, str]
     is not an edge of its receiver's root path; returns False only for
     violations of the pairwise rule itself.
 
-    Runs in O(N): sweeping leaves in planar order, the earliest violating
-    pair is always visible through the nearest-blocker stack when its
-    second member is reached.
+    Runs in O(N log N) numpy steps over N-element arrays: one range
+    minimum of join depths per receiver (see _nodes_valid).
     """
-    return _depths_valid(tree, _join_depths(tree, config))
+    return _nodes_valid(tree, _join_nodes(tree, config))
 
 
 def quartet_type(gt: "GroundTruth", first: str, second: str) -> QuartetType:
@@ -681,7 +716,7 @@ class GroundTruth:
     """A logical tree together with a valid joining configuration.
 
     Keeps the edge depth of every receiver's join by receiver index, which
-    validation computes anyway and every quartet classification needs.
+    every quartet classification needs.
     """
 
     tree: LogicalTree
@@ -689,10 +724,11 @@ class GroundTruth:
     _join_depth: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        depths = _join_depths(self.tree, self.config)
-        if not _depths_valid(self.tree, depths):
+        nodes = _join_nodes(self.tree, self.config)
+        if not _nodes_valid(self.tree, nodes):
             raise InvalidConfiguration("configuration violates the pairwise rule")
-        object.__setattr__(self, "_join_depth", depths)
+        depths = np.asarray(self.tree._depth)[np.asarray(nodes)]
+        object.__setattr__(self, "_join_depth", array("i", depths.tobytes()))
 
     def quartet_type(self, first: str, second: str) -> QuartetType:
         return quartet_type(self, first, second)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +205,63 @@ def test_rea_matches_the_contraction_reference(tree, kind, seed):
     assert res.queries_used == ref.queries_used == tree.n_receivers - 1
 
 
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except QuartetMergeError as exc:
+        return type(exc), str(exc)
+
+
+@given(trees(max_receivers=8), st.integers(0, 2**16), st.data())
+@settings(deadline=None)
+def test_id_backed_maps_behave_like_name_keyed_ones(tree, seed, data):
+    # the samplers and both algorithms return maps held as node ids; each
+    # must act exactly like the name-keyed map of the same labels
+    config = random_config(tree, seed)
+    gt = GroundTruth(tree, config)
+    maps = [
+        config,
+        run_rea(tree, Oracle(gt)).joins,
+        run_rea(tree, _ArbitraryOracle(seed)).joins,
+        run_gbs(tree, Oracle(gt)).joins,
+    ]
+    # one receiver's join moved to any edge, and one moved along its root
+    # path, which most often breaks the pairwise rule
+    k = data.draw(st.integers(0, tree.n_receivers - 1))
+    depths = [1] * tree.n_receivers
+    depths[k] = data.draw(st.integers(1, tree.node_depth(tree.receivers[k])))
+    for node in (data.draw(st.integers(1, len(tree._labels) - 1)), tree._nodes_at(depths)[k]):
+        nodes = array("i", config._nodes)
+        nodes[k] = node
+        maps.append(JoiningConfig._of(tree, nodes))
+    assert all(m._tree is tree for m in maps)
+    plain = [dict(zip(tree.receivers, map(tree._labels.__getitem__, m._nodes))) for m in maps]
+    for m, joins in zip(maps, plain):
+        named = JoiningConfig(dict(joins))
+        for other, other_joins in zip(maps, plain):
+            same = joins == other_joins
+            other_named = JoiningConfig(dict(other_joins))
+            assert (m == other) is (other == m) is same
+            assert (m != other) is (other != m) is (not same)
+            assert (m == other_named) is (other_named == m) is same
+            assert (m != other_named) is (other_named != m) is (not same)
+            assert (m == other_joins) is (other_joins == m) is same
+            assert (m != other_joins) is (other_joins != m) is (not same)
+        assert hash(m) == hash(named)
+        assert repr(m) == repr(named)
+        assert list(m) == list(named) == list(tree.receivers)
+        assert len(m) == len(named)
+        assert all(r in m for r in tree.receivers) and "no-such-receiver" not in m
+        assert m.keys() == named.keys() and list(m.keys()) == list(named.keys())
+        assert list(m.items()) == list(named.items())
+        for check in (GroundTruth, is_valid_config):
+            got, want = _outcome(check, tree, m), _outcome(check, tree, named)
+            if check is GroundTruth and not isinstance(got, tuple):
+                got, want = got._join_depth, want._join_depth
+            assert got == want
+
+
 @given(valid_instances(), st.booleans())
 @settings(deadline=None)
 def test_gbs_recovers_within_the_pair_budget(inst, propagate):
@@ -341,10 +399,10 @@ def test_float64_quotients_order_like_fractions(q):
 @settings(deadline=None)
 def test_joins_at_reads_each_receivers_root_path(tree, data):
     depths = [data.draw(st.integers(1, tree.node_depth(r))) for r in tree.receivers]
-    joins = tree._joins_at(depths)
-    assert list(joins) == list(tree.receivers)
-    for r, d in zip(tree.receivers, depths):
-        assert joins[r] == ref_root_path(tree, r)[d - 1]
+    nodes = tree._nodes_at(depths)
+    assert len(nodes) == tree.n_receivers
+    for r, d, v in zip(tree.receivers, depths, nodes):
+        assert tree._labels[v] == ref_root_path(tree, r)[d - 1]
 
 
 @given(trees(max_receivers=10), st.data())

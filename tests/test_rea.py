@@ -71,6 +71,11 @@ def parent_names(wt) -> list[str | None]:
     return [None if p == -1 else wt.tree._names[p] for p in wt.parent]
 
 
+def edge_label(wt, k) -> str:
+    """Receiver k's current leaf-edge label."""
+    return wt.tree._labels[wt.edge[k]]
+
+
 def live_under(wt, node) -> list[str]:
     """Live receivers whose current parent is ``node``, in index order."""
     return [wt.tree.receivers[k] for k, p in enumerate(parent_names(wt)) if p == node]
@@ -81,7 +86,7 @@ def test_contract_inherits_parent_edge_label(three_fork_tree):
     assert picked(wt) == ("r2", "r3")
     removed = wt.cut(1, 2, keep_leaf_edge=False)
     assert removed == "e6"
-    assert (wt.label[2], parent_names(wt)[2], wt.depth[2]) == ("e3", "b14", 2)
+    assert (edge_label(wt, 2), parent_names(wt)[2], wt.depth[2]) == ("e3", "b14", 2)
     assert wt.parent[1] == -1
     assert live_under(wt, "b14") == ["r1", "r3", "r4"]
     assert "b23" not in parent_names(wt)
@@ -93,7 +98,7 @@ def test_cut_keeping_the_leaf_edge_drops_the_parent_label(three_fork_tree):
     assert picked(wt) == ("r2", "r3")
     removed = wt.cut(1, 2, keep_leaf_edge=True)
     assert removed == "e3"
-    assert (wt.label[2], parent_names(wt)[2], wt.depth[2]) == ("e6", "b14", 2)
+    assert (edge_label(wt, 2), parent_names(wt)[2], wt.depth[2]) == ("e6", "b14", 2)
     assert wt.parent[1] == -1
     assert live_under(wt, "b14") == ["r1", "r3", "r4"]
     assert "b23" not in parent_names(wt)
@@ -106,7 +111,7 @@ def test_cut_splices_nothing_under_the_root_or_a_fork():
     assert picked(wt) == ("a", "b")
     assert wt.cut(0, 1, keep_leaf_edge=False) is None
     assert live_under(wt, "s") == ["b"]
-    assert (parent_names(wt)[1], wt.label[1], wt.depth[1]) == ("s", "e2", 1)
+    assert (parent_names(wt)[1], edge_label(wt, 1), wt.depth[1]) == ("s", "e2", 1)
     assert wt.parent[0] == -1
 
     fork = WorkingTree(make_tree("star", 3))
@@ -115,7 +120,7 @@ def test_cut_splices_nothing_under_the_root_or_a_fork():
     assert picked(fork) == ("r1", "r2")
     assert fork.cut(0, 1, keep_leaf_edge=True) is None
     assert live_under(fork, hub) == ["r2", "r3"]
-    assert (fork.label[1], fork.depth[1]) == (fork.tree.root_path("r2")[-1], 2)
+    assert (edge_label(fork, 1), fork.depth[1]) == (fork.tree.root_path("r2")[-1], 2)
     assert picked(fork) == ("r2", "r3")
 
 

@@ -181,11 +181,11 @@ def test_shuffled_tree_output_is_pinned(shape, size, edges_digest, file_digest):
     "shape, size",
     [("star", 20_000), ("tall_binary", 20_000), ("perfect_ternary", 3**9)],
 )
-def test_tree_holds_at_most_310_bytes_per_node(shape, size):
+def test_tree_holds_at_most_275_bytes_per_node(shape, size):
     # names and labels are stored once, the layout in int arrays, and the
-    # two dicts share one int object per value; trees keyed by name in
-    # dicts held 430-500 bytes per node on these shapes, and with a fresh
-    # int per dict value 260-323
+    # only dict keys the receivers; trees keyed by name in dicts held
+    # 430-500 bytes per node on these shapes, and with a label dict kept
+    # for the tree's life 237-281
     gc.collect()
     tracemalloc.start()
     try:
@@ -193,7 +193,7 @@ def test_tree_holds_at_most_310_bytes_per_node(shape, size):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held / (len(tree.edges()) + 1) <= 310
+    assert held / (len(tree.edges()) + 1) <= 275
 
 
 @pytest.mark.parametrize(
@@ -286,6 +286,26 @@ def test_missing_and_misplaced_joins_raise(three_fork_tree):
     bad = {"r1": "e5", "r2": "e3", "r3": "e3", "r4": "e1"}
     with pytest.raises(MisplacedJoin, match="root path"):
         is_valid_config(three_fork_tree, bad)
+
+
+@pytest.mark.parametrize(
+    "joins, message",
+    [
+        ({"r1": "e2"}, "no join assigned to receiver 'r2'"),
+        ({"r1": "e9", "r2": "e3"}, "join 'e9' is not on the root path of 'r1'"),
+        ({"r1": "e5", "r2": "e3"}, "join 'e5' is not on the root path of 'r1'"),
+        ({"r1": "e2", "r2": None}, "join None is not on the root path of 'r2'"),
+        ({"r1": "e2", "r3": "e5"}, "no join assigned to receiver 'r2'"),
+    ],
+    ids=["missing", "unknown", "off-path-first", "not-a-label", "missing-first"],
+)
+def test_the_first_bad_receiver_names_the_misplaced_join(three_fork_tree, joins, message):
+    # receivers are checked in index order, and the first one whose join is
+    # missing, unknown or off its root path is the one reported
+    for check in (is_valid_config, GroundTruth):
+        with pytest.raises(MisplacedJoin) as err:
+            check(three_fork_tree, JoiningConfig(joins))
+        assert str(err.value) == message
 
 
 def test_ground_truth_rejects_invalid_config(three_fork_tree):
