@@ -17,6 +17,14 @@ the same integer numerator and denominator and the same float64 division
 whether it is refreshed or computed afresh, so the cache holds exactly
 what a full rescan would.
 
+Selection does not scan that array.  Each row, the pairs (i, j) with
+j > i for one i, keeps a float64 lower bound on its minimum: a
+recomputed line sets its own row's bound exactly, and its column entries
+can only lower the bounds of the rows they sit in.  Selection rescans
+the row with the smallest bound until a row's minimum meets its bound,
+about twice per step on perfect binary trees of 256 to 2048 receivers,
+so a step costs O(N) per receiver that moved rather than O(N**2).
+
 Selection arithmetic is exact.  Worst cases are compared as num/den in
 float64, with num <= den.  Two such quotients with denominators below
 2**26 order in double precision exactly as the rationals do, ties
@@ -31,6 +39,7 @@ two receivers so that later shrinks of one narrow the other as well.
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -48,11 +57,13 @@ _BLOCK = 2048
 
 
 class CandidateState:
-    """Candidate intervals, each pair's cached worst case, the pairs asked
-    so far, and optional equality groups.
+    """Candidate intervals, each pair's cached worst case, a lower bound
+    on each row's minimum, the pairs asked so far, and optional equality
+    groups.
 
     Intervals are stored as inclusive edge-depth bounds (lo, hi) into each
-    receiver's root path; a receiver is resolved when lo == hi.  Receivers
+    receiver's root path, in two ``array("i")`` with int32 numpy views for
+    the line kernel; a receiver is resolved when lo == hi.  Receivers
     whose root path is a single edge start resolved at zero cost.
 
     Pairs (i, j), i < j, are numbered in nested-loop order, and ``wc``
@@ -63,21 +74,30 @@ class CandidateState:
     resolved.  ``asked_with[k]`` lists the receivers asked with k, so that
     a recomputed line keeps the asked pairs at ``inf``.  ``wc`` is
     current except for the pairs that touch a receiver in ``_changed``,
-    which ``select_quartet`` refreshes.
+    which ``select_quartet`` refreshes.  ``_bound[i]`` is at or below the
+    minimum of row i once those pairs are refreshed, and equals it when
+    the row was last recomputed or rescanned; the last row is empty and
+    its bound stays ``inf``.
     """
 
     def __init__(self, tree: LogicalTree, propagate_equalities: bool = False):
         n = tree.n_receivers
         self.tree = tree
         self.propagate = propagate_equalities
-        self.lo = np.ones(n, dtype=np.int64)
-        self.hi = np.array([tree.node_depth(r) for r in tree.receivers], dtype=np.int64)
-        # pair (i, j) sits at col_base[i] + j, so row i runs from
-        # col_base[i] + i + 1 to col_base[i] + n - 1
+        self.lo = array("i", [1]) * n
+        self.hi = array("i", map(tree.node_depth, tree.receivers))
+        self._lo = np.frombuffer(self.lo, dtype=np.int32)
+        self._hi = np.frombuffer(self.hi, dtype=np.int32)
+        self._unresolved = n - self.hi.count(1)
+        # row i of wc is wc[_row_start[i] : _row_start[i + 1]], and pair
+        # (i, j) sits at col_base[i] + j
         counts = np.arange(n - 1, -1, -1)
-        self._col_base = np.cumsum(counts) - counts - np.arange(n) - 1
+        self._row_start = array("q", [0, *np.cumsum(counts).tolist()])
+        self._col_base = np.array(self._row_start[:-1]) - np.arange(n) - 1
+        self._index = np.arange(n)
         self.asked_with: list[list[int]] = [[] for _ in range(n)]
         self.wc = np.empty(n * (n - 1) // 2)
+        self._bound = np.full(n, np.inf)
         _refresh(self, range(n))
         self._changed: set[int] = set()
         # receiver -> equality group id, and each group's receivers
@@ -88,20 +108,22 @@ class CandidateState:
 
     def interval(self, r: str) -> tuple[int, int]:
         k = self.tree.receiver_index(r)
-        return int(self.lo[k]), int(self.hi[k])
+        return self.lo[k], self.hi[k]
 
     def is_resolved(self, r: str) -> bool:
         k = self.tree.receiver_index(r)
         return self.lo[k] == self.hi[k]
 
     def all_resolved(self) -> bool:
-        return bool(np.all(self.lo == self.hi))
+        return not self._unresolved
 
     def unresolved(self) -> list[str]:
         return [r for k, r in enumerate(self.tree.receivers) if self.lo[k] != self.hi[k]]
 
     def _set_interval(self, k: int, lo: int, hi: int) -> None:
-        if self.lo[k] != lo or self.hi[k] != hi:
+        olo, ohi = self.lo[k], self.hi[k]
+        if olo != lo or ohi != hi:
+            self._unresolved += (lo != hi) - (olo != ohi)
             self.lo[k] = lo
             self.hi[k] = hi
             self._changed.add(k)
@@ -112,8 +134,8 @@ class CandidateState:
         members = self._members[self._group[k]]
         if len(members) == 1:
             return
-        glo = max(int(self.lo[m]) for m in members)
-        ghi = min(int(self.hi[m]) for m in members)
+        glo = max(map(self.lo.__getitem__, members))
+        ghi = min(map(self.hi.__getitem__, members))
         if glo > ghi:
             raise InconsistentAnswer("equality group intersected to nothing")
         for m in members:
@@ -135,53 +157,76 @@ def _lines(state: CandidateState, ks: Sequence[int]) -> np.ndarray:
     """Worst case of every pair through each receiver in ``ks``, one row
     per receiver: in k's line, column i < k is the pair (i, k) and column
     j > k the pair (k, j).  An entry is ``inf`` where the pair is asked or
-    both its receivers are resolved; column k itself means nothing."""
+    both its receivers are resolved; column k itself means nothing.
+
+    The arithmetic is int64 up to the one division, so every numerator
+    and denominator is exact at any depth."""
     tree, lo, hi = state.tree, state.lo, state.hi
+    # k's own bounds and interval size, as columns
+    kc, lok1, hik, sk = np.array(
+        [ks, [lo[k] - 1 for k in ks], [hi[k] for k in ks],
+         [hi[k] - lo[k] + 1 for k in ks]],
+        dtype=np.int64,
+    )[:, :, None]
+    # the columns j > k, found before any batch-sized array is live:
+    # numpy buffers this broadcast compare, which would add to the peak
+    after = state._index > kc
     d = np.empty((len(ks), len(lo)), dtype=np.int32)
-    for row, k in zip(d, ks):
-        tree._lca_depths(k, row)
-    kc = np.array(ks)[:, None]
-    s = hi - lo + 1
-    sk = s[kc]
-    # candidates on the shared prefix of the column's receiver (up) and
-    # of k (upk); dn and dnk count the rest.  In place, to keep few
-    # batch-sized temporaries alive at once
-    up = np.minimum(hi, d)
-    up -= lo - 1
-    np.maximum(up, 0, out=up)
-    upk = np.minimum(hi[kc], d)
-    upk -= lo[kc] - 1
-    np.maximum(upk, 0, out=upk)
-    del d
-    dn = s - up
-    dnk = sk - upk
+    for row, k in enumerate(ks):
+        tree._lca_depths(k, d[row])
+    d = d.astype(np.int64)
+    lo1 = np.subtract(state._lo, 1, dtype=np.int64)
+    hic = state._hi.astype(np.int64)
+    s = hic - lo1
+    # the branch point clipped into each interval splits it into the
+    # candidates on the shared prefix (up) and the rest (dn): for the
+    # column's receiver, and for k (upk, dnk)
+    up = np.maximum(d, lo1)
+    np.minimum(up, hic, out=up)
+    dn = hic - up
+    up -= lo1
+    upk = np.maximum(d, lok1, out=d)
+    np.minimum(upk, hik, out=upk)
+    dnk = hik - upk
+    upk -= lok1
+    # the numerator is the largest count of candidate pairs an answer
+    # leaves: up * dnk, dn * upk and dn * dnk for three of them, and for
+    # a type-1 answer, which puts both joins on one shared-prefix edge,
+    # the first receiver's up alone: the column's for i < k, k's for j > k
     num = up * dnk
-    np.maximum(num, np.multiply(dn, upk), out=num)
-    np.maximum(num, np.multiply(dn, dnk, out=dn), out=num)
-    del dn, dnk
-    # a type-1 answer puts both joins on one shared-prefix edge, so the
-    # first receiver's up alone counts its surviving candidate pairs: the
-    # column's for i < k, and k's for j > k
-    np.copyto(up, upk, where=np.arange(len(lo)) > kc)
+    np.copyto(up, upk, where=after)
     np.maximum(num, up, out=num)
-    del up, upk
+    np.multiply(dn, np.maximum(upk, dnk, out=upk), out=dn)
+    np.maximum(num, dn, out=num)
+    del d, up, dn, upk, dnk, after
     wc = num / (s * sk)
-    wc[(s == 1) & (sk == 1)] = np.inf
-    for line, k in zip(wc, ks):
-        line[state.asked_with[k]] = np.inf
+    resolved = None
+    for line, k, size in zip(wc, ks, sk.flat):
+        if size == 1:
+            if resolved is None:
+                resolved = s == 1
+            line[resolved] = np.inf
+        if state.asked_with[k]:
+            line[state.asked_with[k]] = np.inf
     return wc
 
 
 def _refresh(state: CandidateState, ks: Sequence[int]) -> None:
     """Recompute the cached worst case of every pair through a receiver
-    in ``ks``, in batches of at most _BLOCK line entries or one line."""
-    wc, base, n = state.wc, state._col_base, len(state.lo)
-    rows = max(1, _BLOCK // n)
-    for start in range(0, len(ks), rows):
-        batch = ks[start : start + rows]
+    in ``ks``, in batches of at most _BLOCK line entries or one line.
+
+    A recomputed row's bound is its exact minimum; each recomputed column
+    entry can only lower the bound of the row it sits in."""
+    wc, bound, start, base = state.wc, state._bound, state._row_start, state._col_base
+    rows = max(1, _BLOCK // len(bound))
+    for first in range(0, len(ks), rows):
+        batch = ks[first : first + rows]
         for k, line in zip(batch, _lines(state, batch)):
-            wc[base[k] + k + 1 : base[k] + n] = line[k + 1 :]
-            wc[base[:k] + k] = line[:k]
+            row, col = line[k + 1 :], line[:k]
+            wc[start[k] : start[k + 1]] = row
+            bound[k] = np.minimum.reduce(row, initial=np.inf)
+            wc[base[:k] + k] = col
+            np.minimum(bound[:k], col, out=bound[:k])
 
 
 def select_quartet(state: CandidateState) -> Pair | None:
@@ -193,25 +238,30 @@ def select_quartet(state: CandidateState) -> Pair | None:
 
     First brings ``state.wc`` up to date.  A pair's worst case depends only
     on its two intervals and whether it was asked, so only the lines of
-    the receivers in ``state._changed`` are recomputed.  Ties break in
-    nested-loop order (ascending first index, then second), which is the
-    cache's order, so argmin's first-minimum rule matches the enumeration
-    exactly.  Returns None when nothing is eligible.
+    the receivers in ``state._changed`` are recomputed.  Then takes the
+    row with the smallest bound and rescans it: when the row's minimum
+    equals its bound, no row holds a smaller entry and no earlier row an
+    equal one, so the row's first minimum is the whole array's;
+    otherwise the minimum becomes the row's bound and the search goes on.
+    Ties thus break in nested-loop order (ascending first index, then
+    second), the order a full enumeration uses.  Returns None when
+    nothing is eligible.
     """
-    wc = state.wc
     if state._changed:
         _refresh(state, list(state._changed))
         state._changed.clear()
-    if not wc.size:
-        return None
-    p = int(np.argmin(wc))
-    if wc[p] == np.inf:
-        return None
-    # row i starts right after col_base[i] + i, which rises with i
-    base = state._col_base
-    i = int(np.searchsorted(base + np.arange(len(base)), p)) - 1
-    rec = state.tree.receivers
-    return rec[i], rec[p - int(base[i])]
+    wc, bound, start = state.wc, state._bound, state._row_start
+    while True:
+        i = int(bound.argmin())
+        b = bound[i]
+        if b == np.inf:
+            return None
+        row = wc[start[i] : start[i + 1]]
+        j = int(row.argmin())
+        if row[j] == b:
+            rec = state.tree.receivers
+            return rec[i], rec[i + 1 + j]
+        bound[i] = row[j]
 
 
 def apply_update(state: CandidateState, pair: Pair, answer: QuartetType) -> None:
@@ -233,9 +283,9 @@ def apply_update(state: CandidateState, pair: Pair, answer: QuartetType) -> None
     new = []
     for k, above in halves:
         if above:
-            nlo, nhi = int(state.lo[k]), min(int(state.hi[k]), d)
+            nlo, nhi = state.lo[k], min(state.hi[k], d)
         else:
-            nlo, nhi = max(int(state.lo[k]), d + 1), int(state.hi[k])
+            nlo, nhi = max(state.lo[k], d + 1), state.hi[k]
         if nlo > nhi:
             raise InconsistentAnswer(
                 f"answer {answer!r} for {pair!r} empties a candidate interval"
@@ -276,7 +326,7 @@ def run_gbs(
         trace.record(*tree._pair_indices(*pair), answer)
 
     return InferenceResult(
-        joins=JoiningConfig._of(tree, tree._nodes_at(state.lo.tolist())),
+        joins=JoiningConfig._of(tree, tree._nodes_at(state.lo)),
         queries_used=len(trace),
         trace=trace,
     )

@@ -369,14 +369,18 @@ class LogicalTree:
         The row form of _range_min: running minima of the adjacent-lca
         depths outwards from k's planar position, one rightwards and one
         leftwards, give k's lca depth with every planar position in O(N).
+        Receivers listed in planar order need no reordering afterwards.
         """
         adjacent = np.asarray(self._sparse[0])
         q = self._pos[k]
-        row = np.empty(len(adjacent) + 1, dtype=np.int32)
+        if self._planar and out is not None:
+            row = out
+        else:
+            row = np.empty(len(adjacent) + 1, dtype=np.int32)
         row[q] = self._depth[self._leaf[k]]
         np.minimum.accumulate(adjacent[q:], out=row[q + 1 :])
         np.minimum.accumulate(adjacent[:q][::-1], out=row[:q][::-1])
-        return np.take(row, self._pos, out=out)
+        return row if self._planar else np.take(row, self._pos, out=out)
 
     def _pair_indices(self, ri: str, rj: str) -> tuple[int, int]:
         """Receiver indices of two distinct receivers."""

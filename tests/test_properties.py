@@ -318,13 +318,18 @@ def test_gbs_worst_case_cache_matches_a_full_recompute(tree, seed, noisy, propag
     # pair's worst case rebuilt from scratch with the same intervals and
     # asked pairs, and the pair it returns must be that array's first
     # minimum.  float() of the exact Fraction rounds num/den correctly,
-    # as float64 division of the integers does.
+    # as float64 division of the integers does.  Each row's bound must be
+    # at or below the row's minimum, and equal it on the row selected;
+    # the unresolved count must match a rescan of the intervals.
     gt = GroundTruth(tree, random_config(tree, seed))
     oracle = Oracle(gt, NoiseSpec(p=0.1, seed=seed) if noisy else None)
     state = CandidateState(tree, propagate)
     pairs = all_pairs(tree)
     asked = set()
-    while not state.all_resolved():
+    while True:
+        assert state._unresolved == sum(lo != hi for lo, hi in zip(state.lo, state.hi))
+        if state.all_resolved():
+            return
         pair = select_quartet(state)
         full = np.array([
             np.inf
@@ -333,10 +338,17 @@ def test_gbs_worst_case_cache_matches_a_full_recompute(tree, seed, noisy, propag
             for p in pairs
         ])
         assert state.wc.tobytes() == full.tobytes()
+        row_min = [np.inf] * tree.n_receivers
+        for p, w in zip(pairs, full):
+            i = tree.receiver_index(p[0])
+            row_min[i] = min(row_min[i], w)
+        assert all(b <= m for b, m in zip(state._bound, row_min))
         if pair is None:
             assert np.all(full == np.inf)
             return
         assert pair == pairs[int(np.argmin(full))]
+        i = tree.receiver_index(pair[0])
+        assert state._bound[i] == row_min[i]
         try:
             apply_update(state, pair, oracle.query(*pair).qtype)
         except QuartetMergeError:

@@ -17,8 +17,10 @@ so they pin the random stream each noise spec draws.
 
 The GBS cases run the search with an exact oracle at the sizes where its
 per-pair worst-case cache matters, and digest every step's (pair, answer)
-plus the joins read off.  Their values were recorded from the
-implementation that rescanned every pair at every step.
+plus the joins read off.  The first three were recorded from the
+implementation that rescanned every pair at every step; the perfect_binary
+256 and 1024 runs, from the one that took a whole-array argmin over the
+cached worst cases at every step.
 """
 
 from __future__ import annotations
@@ -169,6 +171,13 @@ GBS = {
     ("perfect_binary", 512, 0, True): "4ed9080ccff2d512",  # 655 q
     ("tall_binary", 128, 3, False): "c4854528e38fd582",  # 1078 q
     ("star", 256, 1, True): "6b486d5d7c53c56f",  # 128 q
+    # the benchmark's gbs_binary runs, and one size up
+    ("perfect_binary", 256, 0, True): "c5e109b6ba19d66a",  # 282 q
+    ("perfect_binary", 256, 1, True): "41f60fadc4c5c20a",  # 324 q
+    ("perfect_binary", 256, 2, True): "2dec2529b7f3b381",  # 353 q
+    ("perfect_binary", 256, 3, True): "7c1504cd49598fae",  # 293 q
+    ("perfect_binary", 256, 4, True): "55d97054fc6e1cfe",  # 308 q
+    ("perfect_binary", 1024, 0, True): "36feba95951d9b93",  # 1230 q
 }
 
 
