@@ -38,6 +38,7 @@ from reference import (
     compute_benefits,
     ref_enumerate,
     ref_gbs,
+    ref_identifies_deduction,
     ref_is_valid,
     ref_lca_depth,
     ref_quartet_type,
@@ -482,3 +483,17 @@ def test_deduction_implies_elimination(inst, data):
     )
     if identifies(tree, subset, config, mode="deduction"):
         assert identifies(tree, subset, config, mode="elimination")
+
+
+@given(trees(max_receivers=6), st.integers(0, 2**16), st.data())
+@settings(deadline=None, max_examples=100)
+def test_deduction_matches_the_fixpoint_reference(tree, seed, data):
+    # pairs in either order and possibly repeated: the interval closure
+    # must read each answer in the pair's own order and pin exactly what
+    # the reference's fixpoint over candidate edge sets pins
+    config = random_config(tree, seed)
+    pairs = list(itertools.permutations(tree.receivers, 2))
+    subset = data.draw(st.lists(st.sampled_from(pairs), max_size=8))
+    assert identifies(tree, subset, config, mode="deduction") == (
+        ref_identifies_deduction(tree, subset, dict(config.joins))
+    )
