@@ -16,6 +16,8 @@ they are not equivalent:
   (above/below the branching point) and type-1 equalities pins every
   joining edge.  This is what an interval-based solver can conclude
   without enumerating configurations, and it may need strictly more pairs.
+  It is GBS's candidate intervals (``gbs.Intervals``) narrowed by the
+  answers with equalities folded in.
 
 On the 4-receiver caterpillar with all joins coincident on the root edge,
 deduction needs 3 pairs while elimination needs only 2: the answer pair
@@ -32,6 +34,8 @@ from math import prod
 import numpy as np
 
 from .errors import InsufficientReceivers, StructuralViolation, TooLarge
+from .gbs import Intervals
+from .oracle import Pair
 from .topology import (
     GroundTruth,
     JoiningConfig,
@@ -39,8 +43,6 @@ from .topology import (
     PlacementScan,
     QuartetType,
 )
-
-Pair = tuple[str, str]
 
 MODES = ("elimination", "deduction")
 
@@ -120,40 +122,14 @@ def _answer_matrix(
 
 
 def _deduction_identified(gt: GroundTruth, pairs: list[Pair]) -> bool:
-    """Close answers under interval and equality rules; True if all pinned."""
+    """Narrow GBS's intervals by the answers, with equalities folded in;
+    True if every join is pinned."""
     tree = gt.tree
-    n = tree.n_receivers
-    lo = [1] * n
-    hi = [tree.node_depth(r) for r in tree.receivers]
-    uf = list(range(n))
-
-    def find(k: int) -> int:
-        while uf[k] != k:
-            uf[k] = uf[uf[k]]
-            k = uf[k]
-        return k
-
+    state = Intervals(tree, propagate_equalities=True)
     for a, b in pairs:
-        code = int(gt.quartet_type(a, b))
         i, j = tree._pair_indices(a, b)
-        d = tree._lca_depth_at(i, j)
-        for k, above in ((i, code in (1, 2)), (j, code in (1, 3))):
-            if above:
-                hi[k] = min(hi[k], d)
-            else:
-                lo[k] = max(lo[k], d + 1)
-        if code == 1:
-            uf[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for k in range(n):
-        groups.setdefault(find(k), []).append(k)
-    for members in groups.values():
-        glo = max(lo[m] for m in members)
-        ghi = min(hi[m] for m in members)
-        for m in members:
-            lo[m], hi[m] = glo, ghi
-    return all(a == b for a, b in zip(lo, hi))
+        state.narrow(i, j, gt._type_at(i, j))
+    return state.all_resolved()
 
 
 def identifies(

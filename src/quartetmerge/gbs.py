@@ -7,6 +7,11 @@ names.  The next pair to query is the one minimizing the worst-case
 surviving fraction of candidates over the four possible answers, with the
 benefit ratios of one pair sharing a denominator |P_i||P_j|.
 
+``Intervals`` holds the intervals and that rule, and the brute-force
+deduction closure in ``exhaustive`` runs it too; ``CandidateState`` adds
+the selection cache below.  The step loop passes receiver indices, as
+REA's does: only the oracle is asked by name.
+
 The search keeps every pair's worst case in one float64 array, 8 bytes
 per pair and nothing else per pair, and after an answer recomputes only
 the pairs that touch a receiver whose interval changed: two receivers,
@@ -45,7 +50,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InconsistentAnswer, InsufficientReceivers, Stalled
-from .oracle import Pair
 from .results import InferenceResult, Trace
 from .topology import JoiningConfig, LogicalTree, QuartetType
 
@@ -56,28 +60,13 @@ from .topology import JoiningConfig, LogicalTree, QuartetType
 _BLOCK = 2048
 
 
-class CandidateState:
-    """Candidate intervals, each pair's cached worst case, a lower bound
-    on each row's minimum, the pairs asked so far, and optional equality
-    groups.
+class Intervals:
+    """Candidate intervals and optional equality groups, by receiver index.
 
-    Intervals are stored as inclusive edge-depth bounds (lo, hi) into each
-    receiver's root path, in two ``array("i")`` with int32 numpy views for
-    the line kernel; a receiver is resolved when lo == hi.  Receivers
-    whose root path is a single edge start resolved at zero cost.
-
-    Pairs (i, j), i < j, are numbered in nested-loop order, and ``wc``
-    holds each pair's worst-case surviving fraction in that order: row i
-    is one contiguous slice, and column k, the pairs (i, k) with i < k,
-    sits at ``_col_base[:k] + k``.  It is the only per-pair state.  An
-    entry is ``inf`` for a pair that is asked or whose receivers are both
-    resolved.  ``asked_with[k]`` lists the receivers asked with k, so that
-    a recomputed line keeps the asked pairs at ``inf``.  ``wc`` is
-    current except for the pairs that touch a receiver in ``_changed``,
-    which ``select_quartet`` refreshes.  ``_bound[i]`` is at or below the
-    minimum of row i once those pairs are refreshed, and equals it when
-    the row was last recomputed or rescanned; the last row is empty and
-    its bound stays ``inf``.
+    Intervals are inclusive edge-depth bounds (lo, hi) into each
+    receiver's root path, in two ``array("i")``; a receiver is resolved
+    when lo == hi, as one whose root path is a single edge starts.
+    ``_changed`` collects the receivers whose interval moved.
     """
 
     def __init__(self, tree: LogicalTree, propagate_equalities: bool = False):
@@ -85,40 +74,48 @@ class CandidateState:
         self.tree = tree
         self.propagate = propagate_equalities
         self.lo = array("i", [1]) * n
-        self.hi = array("i", map(tree.node_depth, tree.receivers))
-        self._lo = np.frombuffer(self.lo, dtype=np.int32)
-        self._hi = np.frombuffer(self.hi, dtype=np.int32)
+        self.hi = array("i", map(tree._depth.__getitem__, tree._leaf))
         self._unresolved = n - self.hi.count(1)
-        # row i of wc is wc[_row_start[i] : _row_start[i + 1]], and pair
-        # (i, j) sits at col_base[i] + j
-        counts = np.arange(n - 1, -1, -1)
-        self._row_start = array("q", [0, *np.cumsum(counts).tolist()])
-        self._col_base = np.array(self._row_start[:-1]) - np.arange(n) - 1
-        self._index = np.arange(n)
-        self.asked_with: list[list[int]] = [[] for _ in range(n)]
-        self.wc = np.empty(n * (n - 1) // 2)
-        self._bound = np.full(n, np.inf)
-        _refresh(self, range(n))
         self._changed: set[int] = set()
         # receiver -> equality group id, and each group's receivers
         self._group = list(range(n))
         self._members = {k: [k] for k in range(n)}
 
-    # -- plain views -------------------------------------------------------
-
-    def interval(self, r: str) -> tuple[int, int]:
-        k = self.tree.receiver_index(r)
-        return self.lo[k], self.hi[k]
-
-    def is_resolved(self, r: str) -> bool:
-        k = self.tree.receiver_index(r)
-        return self.lo[k] == self.hi[k]
-
     def all_resolved(self) -> bool:
         return not self._unresolved
 
-    def unresolved(self) -> list[str]:
-        return [r for k, r in enumerate(self.tree.receivers) if self.lo[k] != self.hi[k]]
+    def narrow(self, i: int, j: int, answer: QuartetType) -> None:
+        """Keep the half of each interval that the answer on receivers i
+        and j names, read in that order: FIRST_ABOVE puts i's join above
+        the branching point even when i is the higher index.  Under
+        ``propagate`` a type-1 answer links the two receivers.
+
+        Raises InconsistentAnswer when an interval or an equality group
+        would come out empty, which cannot happen with an exact oracle.
+        """
+        d = self.tree._lca_depth_at(i, j)
+        lo, hi = self.lo, self.hi
+        # above keeps the depths up to d, below the depths past it
+        if answer in (QuartetType.BOTH_ABOVE, QuartetType.FIRST_ABOVE):
+            ilo, ihi = lo[i], min(hi[i], d)
+        else:
+            ilo, ihi = max(lo[i], d + 1), hi[i]
+        if answer in (QuartetType.BOTH_ABOVE, QuartetType.SECOND_ABOVE):
+            jlo, jhi = lo[j], min(hi[j], d)
+        else:
+            jlo, jhi = max(lo[j], d + 1), hi[j]
+        if ilo > ihi or jlo > jhi:
+            pair = self.tree.receivers[i], self.tree.receivers[j]
+            raise InconsistentAnswer(
+                f"answer {answer!r} for {pair!r} empties a candidate interval"
+            )
+        self._set_interval(i, ilo, ihi)
+        self._set_interval(j, jlo, jhi)
+        if self.propagate:
+            if answer == QuartetType.BOTH_ABOVE:
+                self._union(i, j)
+            self._sync_group(i)
+            self._sync_group(j)
 
     def _set_interval(self, k: int, lo: int, hi: int) -> None:
         olo, ohi = self.lo[k], self.hi[k]
@@ -151,6 +148,42 @@ class CandidateState:
         for m in moved:
             self._group[m] = gi
         self._members[gi].extend(moved)
+
+
+class CandidateState(Intervals):
+    """The intervals, plus each pair's cached worst case, a lower bound on
+    each row's minimum, and the pairs asked so far.
+
+    The line kernel reads the intervals through int32 numpy views of
+    ``lo`` and ``hi``.  Pairs (i, j), i < j, are numbered in nested-loop
+    order, and ``wc`` holds each pair's worst-case surviving fraction in
+    that order: row i is one contiguous slice, and column k, the pairs
+    (i, k) with i < k, sits at ``_col_base[:k] + k``.  It is the only
+    per-pair state.  An entry is ``inf`` for a pair that is asked or whose
+    receivers are both resolved.  ``asked_with[k]`` lists the receivers
+    asked with k, so that a recomputed line keeps the asked pairs at
+    ``inf``.  ``wc`` is current except for the pairs that touch a receiver
+    in ``_changed``, which ``select_quartet`` refreshes.  ``_bound[i]`` is
+    at or below the minimum of row i once those pairs are refreshed, and
+    equals it when the row was last recomputed or rescanned; the last row
+    is empty and its bound stays ``inf``.
+    """
+
+    def __init__(self, tree: LogicalTree, propagate_equalities: bool = False):
+        super().__init__(tree, propagate_equalities)
+        n = tree.n_receivers
+        self._lo = np.frombuffer(self.lo, dtype=np.int32)
+        self._hi = np.frombuffer(self.hi, dtype=np.int32)
+        # row i of wc is wc[_row_start[i] : _row_start[i + 1]], and pair
+        # (i, j) sits at col_base[i] + j
+        counts = np.arange(n - 1, -1, -1)
+        self._row_start = array("q", [0, *np.cumsum(counts).tolist()])
+        self._col_base = np.array(self._row_start[:-1]) - np.arange(n) - 1
+        self._index = np.arange(n)
+        self.asked_with: list[list[int]] = [[] for _ in range(n)]
+        self.wc = np.empty(n * (n - 1) // 2)
+        self._bound = np.full(n, np.inf)
+        _refresh(self, range(n))
 
 
 def _lines(state: CandidateState, ks: Sequence[int]) -> np.ndarray:
@@ -229,8 +262,9 @@ def _refresh(state: CandidateState, ks: Sequence[int]) -> None:
             np.minimum(bound[:k], col, out=bound[:k])
 
 
-def select_quartet(state: CandidateState) -> Pair | None:
-    """Eligible pair with the minimum worst-case surviving fraction.
+def select_quartet(state: CandidateState) -> tuple[int, int] | None:
+    """Receiver indices (i, j), i < j, of the eligible pair with the
+    minimum worst-case surviving fraction.
 
     Skips pairs whose receivers are both resolved, and pairs already
     asked: an answer leaves both intervals inside the halves it names and
@@ -259,48 +293,21 @@ def select_quartet(state: CandidateState) -> Pair | None:
         row = wc[start[i] : start[i + 1]]
         j = int(row.argmin())
         if row[j] == b:
-            rec = state.tree.receivers
-            return rec[i], rec[i + 1 + j]
+            return i, i + 1 + j
         bound[i] = row[j]
 
 
-def apply_update(state: CandidateState, pair: Pair, answer: QuartetType) -> None:
-    """Shrink the pair's intervals according to the answer; mark it asked.
+def apply_update(state: CandidateState, i: int, j: int, answer: QuartetType) -> None:
+    """Narrow the intervals of receivers i and j by the answer, read in
+    that order (see Intervals.narrow), and mark the pair asked.
 
-    The answer is read in the pair's given order: FIRST_ABOVE puts
-    ``pair[0]``'s join above the branching point even when ``pair[0]`` has
-    the higher index.  Receivers whose interval moved go into
-    ``state._changed``, and the pair's cached worst case becomes ``inf``.
-    Raises InconsistentAnswer when an interval would come out empty, which
-    cannot happen with an exact oracle.
+    Receivers whose interval moved go into ``state._changed``, and the
+    pair's cached worst case becomes ``inf``.
     """
-    i, j = state.tree._pair_indices(*pair)
-    d = state.tree._lca_depth_at(i, j)
-    halves = (
-        (i, answer in (QuartetType.BOTH_ABOVE, QuartetType.FIRST_ABOVE)),
-        (j, answer in (QuartetType.BOTH_ABOVE, QuartetType.SECOND_ABOVE)),
-    )
-    new = []
-    for k, above in halves:
-        if above:
-            nlo, nhi = state.lo[k], min(state.hi[k], d)
-        else:
-            nlo, nhi = max(state.lo[k], d + 1), state.hi[k]
-        if nlo > nhi:
-            raise InconsistentAnswer(
-                f"answer {answer!r} for {pair!r} empties a candidate interval"
-            )
-        new.append((k, nlo, nhi))
-    for k, nlo, nhi in new:
-        state._set_interval(k, nlo, nhi)
+    state.narrow(i, j, answer)
     state.asked_with[i].append(j)
     state.asked_with[j].append(i)
     state.wc[int(state._col_base[min(i, j)]) + max(i, j)] = np.inf
-    if state.propagate:
-        if answer == QuartetType.BOTH_ABOVE:
-            state._union(i, j)
-        state._sync_group(i)
-        state._sync_group(j)
 
 
 def run_gbs(
@@ -316,14 +323,17 @@ def run_gbs(
     if tree.n_receivers < 2:
         raise InsufficientReceivers("the search needs at least 2 receivers")
     state = CandidateState(tree, propagate_equalities)
-    trace = Trace(tree.receivers)
+    rec = tree.receivers
+    trace = Trace(rec)
     while not state.all_resolved():
         pair = select_quartet(state)
         if pair is None:
-            raise Stalled(f"no eligible pair left; unresolved: {state.unresolved()}")
-        answer = oracle.query(*pair).qtype
-        apply_update(state, pair, answer)
-        trace.record(*tree._pair_indices(*pair), answer)
+            unresolved = [r for r, lo, hi in zip(rec, state.lo, state.hi) if lo != hi]
+            raise Stalled(f"no eligible pair left; unresolved: {unresolved}")
+        i, j = pair
+        answer = oracle.query(rec[i], rec[j]).qtype
+        apply_update(state, i, j, answer)
+        trace.record(i, j, answer)
 
     return InferenceResult(
         joins=JoiningConfig._of(tree, tree._nodes_at(state.lo)),

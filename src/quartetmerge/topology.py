@@ -57,13 +57,14 @@ class JoiningConfig(Mapping):
     The samplers and the inference algorithms build theirs over a tree, as
     the node id of each receiver's join by receiver index (see _of): the
     name dict is then built on first name access, and validation, and
-    equality with a config over the same tree object, read the ids.
+    equality with a config over the same tree object, read the ids.  A
+    config built from a mapping keeps its own copy of it.
     """
 
     __slots__ = ("_joins", "_tree", "_nodes")
 
     def __init__(self, joins: Mapping[str, str]):
-        self._joins, self._tree, self._nodes = joins, None, None
+        self._joins, self._tree, self._nodes = dict(joins), None, None
 
     @classmethod
     def _of(cls, tree: LogicalTree, nodes: array) -> JoiningConfig:
@@ -644,7 +645,8 @@ def _join_nodes(
 
     Reads a config built over this tree by its node ids, and any other by
     name.  Raises MisplacedJoin at the first receiver whose join is
-    missing or is not an edge of its root path.
+    missing or is not an edge of its root path, and then UnknownReceiver
+    for a join keyed by a name that is no receiver.
     """
     if isinstance(config, JoiningConfig) and config._tree is tree:
         nodes, joins = config._nodes, None
@@ -662,6 +664,9 @@ def _join_nodes(
             raise MisplacedJoin(f"no join assigned to receiver {r!r}")
         label = tree._labels[v[k]] if joins is None else joins[r]
         raise MisplacedJoin(f"join {label!r} is not on the root path of {r!r}")
+    if joins is not None and len(joins) != len(nodes):
+        for r in joins:
+            tree.receiver_index(r)
     return nodes
 
 

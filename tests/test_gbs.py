@@ -31,6 +31,21 @@ def oracle_for(tree, joins) -> ExactOracle:
     return ExactOracle(GroundTruth(tree, JoiningConfig(dict(joins))))
 
 
+def at(tree, *receivers) -> tuple[int, ...]:
+    """Receiver indices, the search's own names for receivers."""
+    return tuple(map(tree.receiver_index, receivers))
+
+
+def interval(state, r) -> tuple[int, int]:
+    k = state.tree.receiver_index(r)
+    return state.lo[k], state.hi[k]
+
+
+def resolved(state, r) -> bool:
+    lo, hi = interval(state, r)
+    return lo == hi
+
+
 class TestBenefits:
     def test_fresh_deep_pair(self, three_fork_tree):
         state = CandidateState(three_fork_tree)
@@ -54,8 +69,8 @@ class TestBenefits:
 
     def test_resolved_pair_keeps_everything(self, three_fork_tree):
         state = CandidateState(three_fork_tree)
-        apply_update(state, ("r1", "r4"), QuartetType.FIRST_ABOVE)
-        assert state.is_resolved("r1") and state.is_resolved("r4")
+        apply_update(state, *at(three_fork_tree, "r1", "r4"), QuartetType.FIRST_ABOVE)
+        assert resolved(state, "r1") and resolved(state, "r4")
         quad = compute_benefits(state, "r1", "r4")
         assert quad.worst_case == Fraction(1, 1)
 
@@ -93,12 +108,13 @@ class TestSelection:
     def test_picks_minimum_worst_case(self, three_fork_tree):
         # worst cases on the fresh tree: (r2,r3) 2/9, (r1,r4) 1/4, rest 1/3
         state = CandidateState(three_fork_tree)
-        assert select_quartet(state) == ("r2", "r3")
+        assert select_quartet(state) == at(three_fork_tree, "r2", "r3")
 
     def test_never_reselects_an_answered_pair(self, three_fork_tree):
         state = CandidateState(three_fork_tree)
-        apply_update(state, ("r2", "r3"), QuartetType.BOTH_ABOVE)
-        assert select_quartet(state) != ("r2", "r3")
+        pair = at(three_fork_tree, "r2", "r3")
+        apply_update(state, *pair, QuartetType.BOTH_ABOVE)
+        assert select_quartet(state) != pair
 
     @pytest.mark.parametrize(
         "shape, size",
@@ -114,14 +130,15 @@ class TestSelection:
         while (pair := select_quartet(state)) is not None:
             eligible = [
                 p for p in all_pairs(tree)
-                if not (state.is_resolved(p[0]) and state.is_resolved(p[1]))
+                if not (resolved(state, p[0]) and resolved(state, p[1]))
                 and p not in asked
             ]
             worst = {p: compute_benefits(state, *p).worst_case for p in eligible}
             best = min(worst.values())
-            assert pair == next(p for p in eligible if worst[p] == best)
-            apply_update(state, pair, gt.quartet_type(*pair))
-            asked.add(pair)
+            names = tree.receivers[pair[0]], tree.receivers[pair[1]]
+            assert names == next(p for p in eligible if worst[p] == best)
+            apply_update(state, *pair, gt.quartet_type(*names))
+            asked.add(names)
 
     def test_none_when_all_resolved(self):
         tree = LogicalTree("s1", [("s1", "r1", "e1"), ("s1", "r2", "e2")], ["r1", "r2"])
@@ -133,16 +150,21 @@ class TestSelection:
 class TestUpdates:
     def test_both_above_clips_to_shared_prefix(self, three_fork_tree):
         state = CandidateState(three_fork_tree)
-        apply_update(state, ("r2", "r3"), QuartetType.BOTH_ABOVE)
-        assert state.interval("r2") == (1, 2)
-        assert state.interval("r3") == (1, 2)
+        apply_update(state, *at(three_fork_tree, "r2", "r3"), QuartetType.BOTH_ABOVE)
+        assert interval(state, "r2") == (1, 2)
+        assert interval(state, "r3") == (1, 2)
 
     def test_contradiction_raises(self, three_fork_tree):
         state = CandidateState(three_fork_tree)
-        apply_update(state, ("r2", "r3"), QuartetType.FIRST_ABOVE)
-        assert state.interval("r3") == (3, 3)
-        with pytest.raises(InconsistentAnswer):
-            apply_update(state, ("r2", "r3"), QuartetType.BOTH_ABOVE)
+        pair = at(three_fork_tree, "r2", "r3")
+        apply_update(state, *pair, QuartetType.FIRST_ABOVE)
+        assert interval(state, "r3") == (3, 3)
+        with pytest.raises(InconsistentAnswer) as err:
+            apply_update(state, *pair, QuartetType.BOTH_ABOVE)
+        assert str(err.value) == (
+            "answer <QuartetType.BOTH_ABOVE: 1> for ('r2', 'r3') empties a "
+            "candidate interval"
+        )
 
     def test_reversed_pair_reads_the_answer_in_its_own_order(self):
         # an answer names "first" and "second" by the pair as given, so a
@@ -153,18 +175,18 @@ class TestUpdates:
             gt = GroundTruth(tree, random_config(tree, seed))
             for a, b in all_pairs(tree):
                 ordered, reversed_ = CandidateState(tree), CandidateState(tree)
-                apply_update(ordered, (a, b), gt.quartet_type(a, b))
-                apply_update(reversed_, (b, a), gt.quartet_type(b, a))
+                apply_update(ordered, *at(tree, a, b), gt.quartet_type(a, b))
+                apply_update(reversed_, *at(tree, b, a), gt.quartet_type(b, a))
                 for r in (a, b):
-                    assert reversed_.interval(r) == ordered.interval(r), (seed, a, b)
+                    assert interval(reversed_, r) == interval(ordered, r), (seed, a, b)
 
     def test_equality_propagation_syncs_group(self, three_fork_tree):
         state = CandidateState(three_fork_tree, propagate_equalities=True)
-        apply_update(state, ("r2", "r3"), QuartetType.BOTH_ABOVE)
-        apply_update(state, ("r1", "r3"), QuartetType.SECOND_ABOVE)
+        apply_update(state, *at(three_fork_tree, "r2", "r3"), QuartetType.BOTH_ABOVE)
+        apply_update(state, *at(three_fork_tree, "r1", "r3"), QuartetType.SECOND_ABOVE)
         # r3 tightened to depth 1, and the linked r2 follows
-        assert state.interval("r3") == (1, 1)
-        assert state.interval("r2") == (1, 1)
+        assert interval(state, "r3") == (1, 1)
+        assert interval(state, "r2") == (1, 1)
 
 
 class TestRuns:
@@ -235,5 +257,8 @@ class TestRuns:
         import quartetmerge.gbs as gbs_mod
 
         monkeypatch.setattr(gbs_mod, "select_quartet", lambda state: None)
-        with pytest.raises(Stalled):
+        with pytest.raises(Stalled) as err:
             gbs_mod.run_gbs(three_fork_tree, None)
+        assert str(err.value) == (
+            "no eligible pair left; unresolved: ['r1', 'r2', 'r3', 'r4']"
+        )

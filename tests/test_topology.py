@@ -296,16 +296,44 @@ def test_missing_and_misplaced_joins_raise(three_fork_tree):
         ({"r1": "e5", "r2": "e3"}, "join 'e5' is not on the root path of 'r1'"),
         ({"r1": "e2", "r2": None}, "join None is not on the root path of 'r2'"),
         ({"r1": "e2", "r3": "e5"}, "no join assigned to receiver 'r2'"),
+        ({"r1": "e2", "nosuch": "e1"}, "no join assigned to receiver 'r2'"),
+        ({"nosuch": "e1", "r1": "e5", "r2": "e3"},
+         "join 'e5' is not on the root path of 'r1'"),
     ],
-    ids=["missing", "unknown", "off-path-first", "not-a-label", "missing-first"],
+    ids=["missing", "unknown", "off-path-first", "not-a-label", "missing-first",
+         "missing-before-extra", "off-path-before-extra"],
 )
 def test_the_first_bad_receiver_names_the_misplaced_join(three_fork_tree, joins, message):
     # receivers are checked in index order, and the first one whose join is
-    # missing, unknown or off its root path is the one reported
+    # missing, unknown or off its root path is the one reported, before a
+    # join keyed by a name that is no receiver
     for check in (is_valid_config, GroundTruth):
         with pytest.raises(MisplacedJoin) as err:
             check(three_fork_tree, JoiningConfig(joins))
         assert str(err.value) == message
+
+
+def test_a_join_for_an_unknown_receiver_raises():
+    # every join on the tree is right; the extra key names no receiver
+    tree = make_tree("perfect_binary", 8)
+    joins = dict(random_config(tree, 0).joins)
+    joins["nosuch"] = "e1"
+    for check in (is_valid_config, GroundTruth):
+        with pytest.raises(UnknownReceiver) as err:
+            check(tree, joins)
+        assert str(err.value) == "unknown receiver 'nosuch'"
+
+
+def test_a_config_does_not_follow_later_edits_of_its_source(three_fork_tree):
+    joins = {"r1": "e2", "r2": "e3", "r3": "e3", "r4": "e4"}
+    config = JoiningConfig(joins)
+    gt = GroundTruth(three_fork_tree, config)
+    before = hash(config)
+    joins["r1"] = "e1"
+    assert hash(config) == before
+    assert config == {"r1": "e2", "r2": "e3", "r3": "e3", "r4": "e4"}
+    assert config != joins
+    assert gt.config["r1"] == "e2"
 
 
 def test_ground_truth_rejects_invalid_config(three_fork_tree):
