@@ -42,7 +42,7 @@ from .generators import (
     tall_binary,
 )
 from .multisource import MultiResult, run_multi
-from .oracle import ExactOracle, NoiseSpec, Oracle, OracleAnswer, OracleStats
+from .oracle import ExactOracle, NoiseSpec, Oracle, OracleStats
 from .rea import run_rea
 from .results import InferenceResult, Step, Trace
 from .sweep import (
@@ -86,7 +86,6 @@ __all__ = [
     "MultiResult",
     "NoiseSpec",
     "Oracle",
-    "OracleAnswer",
     "OracleStats",
     "ParseError",
     "QuartetMergeError",

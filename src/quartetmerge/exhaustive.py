@@ -4,7 +4,8 @@ These tools answer "how few quartets could possibly suffice" questions by
 brute force on small instances: enumerate every valid joining
 configuration, compare answer vectors, and search identifying subsets in
 breadth-first size order.  Everything here is exponential by nature and
-guarded by explicit caps.
+guarded by explicit caps.  Both the enumeration and the answer vectors
+read the quartet formula over join depths in numpy, a row per map.
 
 Two notions of "the answers identify the configuration" are supported and
 they are not equivalent:
@@ -35,13 +36,14 @@ import numpy as np
 
 from .errors import InsufficientReceivers, StructuralViolation, TooLarge
 from .gbs import Intervals
-from .oracle import Pair
 from .topology import (
     GroundTruth,
     JoiningConfig,
     LogicalTree,
-    PlacementScan,
+    Pair,
     QuartetType,
+    _join_nodes,
+    _quartet,
 )
 
 MODES = ("elimination", "deduction")
@@ -72,6 +74,10 @@ def enumerate_valid_configs(
     Order is by receiver index, then edge depth along the root path.  The
     caps bound the raw product of path lengths, not the (smaller) valid
     count; TooLarge asks the caller to decide, never silently truncates.
+    The maps grow as rows of join depths, a receiver at a time: depth x
+    for receiver k extends a row unless an earlier join and x both lie on
+    their pair's shared prefix (type 1) at different depths.  np.nonzero
+    lists the survivors row by row, depths ascending, keeping the order.
     """
     n = tree.n_receivers
     if n > max_receivers:
@@ -80,29 +86,16 @@ def enumerate_valid_configs(
     if raw > max_raw:
         raise TooLarge(f"{raw} raw combinations exceed the cap {max_raw}")
 
-    receivers = tree.receivers
-    scan = PlacementScan(tree)
-    out: list[JoiningConfig] = []
-    chosen: list[int] = []  # join depths
-
-    def descend(k: int) -> None:
-        if k == n:
-            out.append(JoiningConfig._of(tree, tree._nodes_at(chosen)))
-            return
-        r = receivers[k]
-        blocked, exception = scan.allowed(r)
-        depths = list(range(blocked + 1, tree.node_depth(r) + 1))
-        if exception is not None:
-            depths.insert(0, exception)
-        for cd in depths:
-            chosen.append(cd)
-            scan.place(r, cd)
-            descend(k + 1)
-            scan.unplace(r)
-            chosen.pop()
-
-    descend(0)
-    return out
+    depths = np.zeros((1, 0), dtype=np.int64)
+    for k, r in enumerate(tree.receivers):
+        x = np.arange(1, tree.node_depth(r) + 1)
+        ok = np.ones((len(depths), len(x)), dtype=bool)
+        for j in range(k):
+            d = depths[:, j, None]
+            ok &= (_quartet(d, x, tree._lca_depth_at(j, k)) != 1) | (d == x)
+        rows, cols = np.nonzero(ok)
+        depths = np.column_stack((depths[rows], x[cols]))
+    return [JoiningConfig._of(tree, tree._nodes_at(row)) for row in depths.tolist()]
 
 
 def answer_set(gt: GroundTruth, pairs: list[Pair]) -> dict[Pair, QuartetType]:
@@ -113,12 +106,13 @@ def answer_set(gt: GroundTruth, pairs: list[Pair]) -> dict[Pair, QuartetType]:
 def _answer_matrix(
     tree: LogicalTree, configs: list[JoiningConfig], pairs: list[Pair]
 ) -> np.ndarray:
-    m = np.empty((len(configs), len(pairs)), dtype=np.int8)
-    for row, cfg in enumerate(configs):
-        gt = GroundTruth(tree, cfg)
-        for col, (a, b) in enumerate(pairs):
-            m[row, col] = int(gt.quartet_type(a, b))
-    return m
+    """Quartet type value of every pair, as written, on every config."""
+    nodes = np.array([_join_nodes(tree, c) for c in configs], dtype=np.intp)
+    depths = np.asarray(tree._depth)[nodes.reshape(-1, tree.n_receivers)]
+    ij = [tree._pair_indices(a, b) for a, b in pairs]
+    branch = np.array([tree._lca_depth_at(i, j) for i, j in ij], dtype=np.int64)
+    i, j = np.array(ij, dtype=np.intp).reshape(-1, 2).T
+    return _quartet(depths[:, i], depths[:, j], branch).astype(np.int8)
 
 
 def _deduction_identified(gt: GroundTruth, pairs: list[Pair]) -> bool:
@@ -147,8 +141,9 @@ def identifies(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    gt = GroundTruth(tree, config)  # raises on an invalid map
     if mode == "deduction":
-        return _deduction_identified(GroundTruth(tree, config), pairs)
+        return _deduction_identified(gt, pairs)
     target = _answer_matrix(tree, [config], pairs)
     if configs is None:
         configs = enumerate_valid_configs(tree)

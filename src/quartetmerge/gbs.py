@@ -331,7 +331,7 @@ def run_gbs(
             unresolved = [r for r, lo, hi in zip(rec, state.lo, state.hi) if lo != hi]
             raise Stalled(f"no eligible pair left; unresolved: {unresolved}")
         i, j = pair
-        answer = oracle.query(rec[i], rec[j]).qtype
+        answer = oracle.query(rec[i], rec[j])
         apply_update(state, i, j, answer)
         trace.record(i, j, answer)
 

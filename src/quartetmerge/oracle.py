@@ -1,21 +1,18 @@
 """The quartet oracle: exact answers, or noisy ones resolved by majority vote.
 
-The oracle normalizes a receiver pair to ascending index order before
-answering, so callers may pass the pair either way round.  It keeps an
-OracleStats; inference code reads query budgets from it instead of
-counting on its own.
+The oracle answers for the pair as asked, as quartet_type does: swapping
+the two receivers exchanges types 2 and 3.  It keeps an OracleStats;
+inference code reads query budgets from it instead of counting on its
+own.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import BadSpec
-from .topology import GroundTruth, QuartetType
-
-Pair = tuple[str, str]
+from .topology import _TYPES, GroundTruth, QuartetType
 
 
 @dataclass
@@ -29,17 +26,6 @@ class OracleStats:
 
     total_queries: int = 0
     quartet_queries: int = 0
-
-
-class OracleAnswer(NamedTuple):
-    """An answered quartet: the index-ascending pair and its type.
-
-    The oracle builds one per query, and a named tuple builds faster than
-    a frozen dataclass.
-    """
-
-    pair: Pair
-    qtype: QuartetType
 
 
 @dataclass(frozen=True)
@@ -59,6 +45,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise BadSpec(f"noise probability {self.p} outside [0, 1]")
+        if not isinstance(self.repeats, int):
+            raise BadSpec(f"repeats must be an int, got {self.repeats!r}")
         if self.repeats < 1 or self.repeats % 2 == 0:
             raise BadSpec(f"repeats must be odd and positive, got {self.repeats}")
 
@@ -87,21 +75,18 @@ class Oracle:
             return wrong[self._rng.randrange(3)]
         return true_type
 
-    def query(self, ri: str, rj: str) -> OracleAnswer:
-        i, j = self.gt.tree._pair_indices(ri, rj)
-        if i > j:
-            i, j, ri, rj = j, i, rj, ri
-        qtype = self.gt._type_at(i, j)
+    def query(self, ri: str, rj: str) -> QuartetType:
+        qtype = self.gt._type_at(*self.gt.tree._pair_indices(ri, rj))
         if self._rng is not None:
             votes = [0, 0, 0, 0]
             for _ in range(self._probes):
                 votes[self._corrupt(qtype) - 1] += 1
             # index() finds the lowest type among tied maxima
-            qtype = QuartetType(votes.index(max(votes)) + 1)
+            qtype = _TYPES[votes.index(max(votes)) + 1]
         stats = self.stats
         stats.total_queries += self._probes
         stats.quartet_queries += 1
-        return OracleAnswer((ri, rj), qtype)
+        return qtype
 
 
 # without a NoiseSpec the oracle is exact; callers that build one for

@@ -167,8 +167,7 @@ def run_rea(tree: LogicalTree, oracle) -> InferenceResult:
     trace = Trace(rec, JoiningConfig._of(tree, wt.edge))
     for _ in range(n - 1):
         first, second = pick_siblings(wt)
-        answer = oracle.query(rec[first], rec[second])
-        apply_answer(wt, first, second, answer.qtype, trace)
+        apply_answer(wt, first, second, oracle.query(rec[first], rec[second]), trace)
 
     # one receiver left, under the root, and every other one cut off
     if wt.parent.count(-1) != n - 1 or wt.parent.count(0) != 1:

@@ -14,11 +14,7 @@ from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .oracle import Pair
-from .topology import JoiningConfig, QuartetType
-
-# QuartetType by its value, for building steps from the answer column
-_TYPES = (None, *QuartetType)
+from .topology import _TYPES, JoiningConfig, Pair, QuartetType
 
 
 def cut_order(first: int, second: int, answer: int) -> tuple[int, int]:

@@ -95,11 +95,19 @@ def parse_topology_file(path: str | Path) -> tuple[LogicalTree, JoiningConfig | 
 
 
 def serialize_topology(tree: LogicalTree, config: JoiningConfig | None = None) -> str:
+    """The tree, and the config when given, in the grammar above; raises
+    InvalidTree at the first root, node or label name that holds
+    whitespace or ``#``, which the grammar cannot read back."""
     if config is not None and not is_valid_config(tree, config):
         raise InvalidConfiguration("refusing to serialize an invalid configuration")
     lines = [f"root {tree.root}"]
+    names = [("root", tree.root)]
     for u, v, lab in tree.edges():
         lines.append(f"edge {u} {v} {lab}")
+        names += ("node", u), ("node", v), ("label", lab)
+    for kind, name in names:
+        if name.split() != [name] or "#" in name:
+            raise InvalidTree(f"{kind} {name!r} holds whitespace or '#'")
     for r in tree.receivers:
         lines.append(f"receiver {r}")
     if config is not None:

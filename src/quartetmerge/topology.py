@@ -51,6 +51,18 @@ class QuartetType(IntEnum):
     BOTH_BELOW = 4
 
 
+# QuartetType by its value: a tuple lookup costs less than an Enum call
+_TYPES = (None, *QuartetType)
+
+Pair = tuple[str, str]
+
+
+def _quartet(d1, d2, branch_depth):
+    """Quartet type value of joins at edge depths d1, d2 on a pair that
+    branches at ``branch_depth``; on ints, or elementwise on arrays."""
+    return 1 + 2 * (d1 > branch_depth) + (d2 > branch_depth)
+
+
 class JoiningConfig(Mapping):
     """One joining edge per receiver, keyed by receiver name.
 
@@ -454,8 +466,8 @@ class PlacementScan:
     the nearest blocker on each side is the first (last) position whose
     value passes that fixed threshold, found by one descent.  Among the
     blockers on one side the nearest has the deepest branching point, and
-    a tie between the two sides goes to the left one.  allowed, place and
-    unplace each cost O(log N).
+    a tie between the two sides goes to the left one.  allowed and place
+    each cost O(log N).
 
     When receivers are placed in planar order, _NearestBlockers answers
     the same constraints from a stack in amortized O(1) per receiver,
@@ -566,20 +578,6 @@ class PlacementScan:
         i = self._size + p
         while i and hi[i] < span_hi:
             hi[i] = span_hi
-            i >>= 1
-
-    def unplace(self, r: str) -> None:
-        p = self.tree._pos[self.tree._rindex[r]]
-        lo, hi = self._lo, self._hi
-        i = self._size + p
-        lo[i] = len(self._cd)
-        hi[i] = -1
-        i >>= 1
-        while i:
-            a, b = lo[2 * i], lo[2 * i + 1]
-            lo[i] = a if a < b else b
-            a, b = hi[2 * i], hi[2 * i + 1]
-            hi[i] = a if a > b else b
             i >>= 1
 
 
@@ -744,19 +742,5 @@ class GroundTruth:
 
     def _type_at(self, i: int, j: int) -> QuartetType:
         """quartet_type of two distinct receivers, given by index."""
-        branch_depth = self.tree._lca_depth_at(i, j)
-        d1, d2 = self._join_depth[i], self._join_depth[j]
-        if d1 <= branch_depth and d2 <= branch_depth:
-            # both on one root path, so one edge exactly when level
-            if d1 != d2:
-                r1, r2 = self.tree.receivers[i], self.tree.receivers[j]
-                raise InvalidConfiguration(
-                    f"distinct joins {self.config[r1]!r}, {self.config[r2]!r} on "
-                    f"the shared prefix of ({r1!r}, {r2!r})"
-                )
-            return QuartetType.BOTH_ABOVE
-        if d1 <= branch_depth:
-            return QuartetType.FIRST_ABOVE
-        if d2 <= branch_depth:
-            return QuartetType.SECOND_ABOVE
-        return QuartetType.BOTH_BELOW
+        depth = self._join_depth
+        return _TYPES[_quartet(depth[i], depth[j], self.tree._lca_depth_at(i, j))]

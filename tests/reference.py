@@ -159,15 +159,6 @@ class RefPlacementScan:
             bisect.insort(positions, p)
         self._cd_at[p] = join_depth
 
-    def unplace(self, r: str) -> None:
-        p = self.tree._pos[self.tree.receiver_index(r)]
-        positions = self._positions
-        if positions and positions[-1] == p:
-            positions.pop()
-        else:
-            positions.remove(p)
-        del self._cd_at[p]
-
 
 def ref_answers(tree, joins: Mapping[str, str], pairs: Iterable[tuple[str, str]]):
     return tuple(ref_quartet_type(tree, joins, a, b) for a, b in pairs)
@@ -334,7 +325,7 @@ def ref_gbs(tree, oracle, propagate_equalities: bool = False) -> RefGbsRun:
         if pair in cache:
             answer = cache[pair]
         else:
-            answer = cache[pair] = int(oracle.query(*pair).qtype)
+            answer = cache[pair] = int(oracle.query(*pair))
         new = halves(*pair, answer)
         if any(lo > hi for lo, hi in new.values()):
             raise InconsistentAnswer("reference interval came out empty")
@@ -409,7 +400,7 @@ def ref_rea(tree, oracle) -> RefReaRun:
         p = parent[first]
         second = min((c for c in kids(p) if c != first and not kids(c)), key=rec.index)
         pair = tuple(sorted((first, second), key=rec.index))
-        answer = int(oracle.query(*pair).qtype)
+        answer = int(oracle.query(*pair))
         if answer == 1:
             aliases[pair[0]] = pair[1]
         deleted, survivor = pair if answer in (1, 3) else pair[::-1]

@@ -24,7 +24,6 @@ PUBLIC = [
     "MultiResult",
     "NoiseSpec",
     "Oracle",
-    "OracleAnswer",
     "OracleStats",
     "ParseError",
     "QuartetMergeError",

@@ -17,7 +17,6 @@ from quartetmerge import (
     LogicalTree,
     NoiseSpec,
     Oracle,
-    OracleAnswer,
     QuartetMergeError,
     QuartetType,
     all_pairs,
@@ -31,6 +30,7 @@ from quartetmerge import (
     run_rea,
     serialize_topology,
 )
+from quartetmerge.exhaustive import _answer_matrix
 from quartetmerge.gbs import CandidateState, apply_update, select_quartet
 from quartetmerge.topology import PlacementScan
 from reference import (
@@ -174,8 +174,8 @@ class _ArbitraryOracle:
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
 
-    def query(self, ri: str, rj: str) -> OracleAnswer:
-        return OracleAnswer(pair=(ri, rj), qtype=QuartetType(self._rng.randrange(1, 5)))
+    def query(self, ri: str, rj: str) -> QuartetType:
+        return QuartetType(self._rng.randrange(1, 5))
 
 
 @given(
@@ -354,7 +354,7 @@ def test_gbs_worst_case_cache_matches_a_full_recompute(tree, seed, noisy, propag
         i = pair[0]
         assert state._bound[i] == row_min[i]
         try:
-            apply_update(state, *pair, oracle.query(*names).qtype)
+            apply_update(state, *pair, oracle.query(*names))
         except QuartetMergeError:
             return
         asked.add(names)
@@ -424,8 +424,8 @@ def test_joins_at_reads_each_receivers_root_path(tree, data):
 @given(trees(max_receivers=10), st.data())
 @settings(deadline=None)
 def test_placement_scan_matches_the_outward_scan(tree, data):
-    # places and unplaces interleave in any order, each join drawn from
-    # the allowed edges, and every unplaced receiver is asked after each.
+    # receivers are placed in any order, each join drawn from the allowed
+    # edges, and every receiver not yet placed is asked after each place.
     # In a valid partial map a left and a right blocker at one branch
     # depth share their join, so which side wins a tie shows only when
     # joins may also be drawn anywhere on the root path
@@ -439,22 +439,15 @@ def test_placement_scan_matches_the_outward_scan(tree, data):
                 assert scan.allowed(r) == ref.allowed(r)
 
     same_answers()
-    for _ in range(data.draw(st.integers(1, 3 * tree.n_receivers))):
-        unplaced = [r for r in tree.receivers if r not in placed]
-        if placed and (not unplaced or data.draw(st.booleans())):
-            r = placed.pop(data.draw(st.integers(0, len(placed) - 1)))
-            scan.unplace(r)
-            ref.unplace(r)
-        else:
-            r = data.draw(st.sampled_from(unplaced))
-            blocked, exception = (0, None) if anywhere else ref.allowed(r)
-            depths = list(range(blocked + 1, tree.node_depth(r) + 1))
-            if exception is not None:
-                depths.append(exception)
-            cd = data.draw(st.sampled_from(depths))
-            scan.place(r, cd)
-            ref.place(r, cd)
-            placed.append(r)
+    for r in data.draw(st.permutations(tree.receivers)):
+        blocked, exception = (0, None) if anywhere else ref.allowed(r)
+        depths = list(range(blocked + 1, tree.node_depth(r) + 1))
+        if exception is not None:
+            depths.append(exception)
+        cd = data.draw(st.sampled_from(depths))
+        scan.place(r, cd)
+        ref.place(r, cd)
+        placed.append(r)
         same_answers()
 
 
@@ -463,6 +456,19 @@ def test_placement_scan_matches_the_outward_scan(tree, data):
 def test_enumeration_matches_reference_in_any_receiver_order(tree):
     got = [dict(c.joins) for c in enumerate_valid_configs(tree)]
     assert got == ref_enumerate(tree)
+
+
+@given(trees(max_receivers=5))
+@settings(deadline=None)
+def test_answer_matrix_matches_the_reference_on_every_map(tree):
+    # one numpy expression classifies every enumerated map on both orders
+    # of every pair, as the definition does one quartet at a time
+    pairs = list(itertools.permutations(tree.receivers, 2))
+    configs = enumerate_valid_configs(tree)
+    matrix = _answer_matrix(tree, configs, pairs)
+    for config, row in zip(configs, matrix.tolist()):
+        joins = dict(config.joins)
+        assert row == [ref_quartet_type(tree, joins, a, b) for a, b in pairs]
 
 
 @given(valid_instances())

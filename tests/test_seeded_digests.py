@@ -102,7 +102,7 @@ class Recorder:
         before = self.stats.total_queries
         answer = self.oracle.query(ri, rj)
         probes = self.stats.total_queries - before
-        self.log.append(f"{answer.pair[0]} {answer.pair[1]} {int(answer.qtype)} {probes}")
+        self.log.append(f"{ri} {rj} {int(answer)} {probes}")
         return answer
 
 

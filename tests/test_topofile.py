@@ -8,7 +8,9 @@ import pytest
 
 from quartetmerge import (
     InvalidConfiguration,
+    InvalidTree,
     JoiningConfig,
+    LogicalTree,
     ParseError,
     make_tree,
     parse_topology,
@@ -150,6 +152,25 @@ def test_refuses_to_serialize_invalid_config(three_fork_tree):
     bad = JoiningConfig({"r1": "e2", "r2": "e1", "r3": "e3", "r4": "e4"})
     with pytest.raises(InvalidConfiguration):
         serialize_topology(three_fork_tree, bad)
+
+
+@pytest.mark.parametrize(
+    "root, a, label, fragment",
+    [
+        ("s", "a", "e1#x", "label 'e1#x'"),
+        ("s", "a b", "e1", "node 'a b'"),
+        ("s\t0", "a", "e1", "root 's\\t0'"),
+        ("s", "a", "e 1", "label 'e 1'"),
+        ("s", "a\u2028", "e1", "node 'a\\u2028'"),
+    ],
+)
+def test_refuses_names_the_grammar_cannot_read(root, a, label, fragment):
+    # written as is, "e1#x" would read back as "e1" and "a b" would not
+    # read at all
+    tree = LogicalTree(root, [(root, a, label), (root, "b", "e2")], [a, "b"])
+    with pytest.raises(InvalidTree) as exc:
+        serialize_topology(tree)
+    assert fragment in str(exc.value)
 
 
 def test_parsing_is_linear_in_the_receiver_count():
