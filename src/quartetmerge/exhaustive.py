@@ -4,8 +4,11 @@ These tools answer "how few quartets could possibly suffice" questions by
 brute force on small instances: enumerate every valid joining
 configuration, compare answer vectors, and search identifying subsets in
 breadth-first size order.  Everything here is exponential by nature and
-guarded by explicit caps.  Both the enumeration and the answer vectors
-read the quartet formula over join depths in numpy, a row per map.
+guarded by explicit caps.  The maps stay one numpy matrix of join depths,
+a row per map, from enumeration to the answer vectors, which read the
+quartet formula over it; only enumerate_valid_configs turns the rows into
+configs, by one node lookup.  Each mode is a predicate on pair subsets,
+and one breadth-first search serves them all.
 
 Two notions of "the answers identify the configuration" are supported and
 they are not equivalent:
@@ -36,17 +39,11 @@ import numpy as np
 
 from .errors import InsufficientReceivers, StructuralViolation, TooLarge
 from .gbs import Intervals
-from .topology import (
-    GroundTruth,
-    JoiningConfig,
-    LogicalTree,
-    Pair,
-    QuartetType,
-    _join_nodes,
-    _quartet,
-)
+from .topology import GroundTruth, JoiningConfig, LogicalTree, Pair, QuartetType, _quartet
 
 MODES = ("elimination", "deduction")
+# the default caps on the enumeration and on the subset searches
+_MAX_RECEIVERS, _MAX_RAW, _MAX_SUBSETS = 8, 1_000_000, 5_000_000
 
 
 def lower_bound(n: int) -> int:
@@ -66,18 +63,16 @@ def all_pairs(tree: LogicalTree) -> list[Pair]:
     return [(rec[i], rec[j]) for i in range(len(rec)) for j in range(i + 1, len(rec))]
 
 
-def enumerate_valid_configs(
-    tree: LogicalTree, *, max_receivers: int = 8, max_raw: int = 1_000_000
-) -> list[JoiningConfig]:
-    """All valid joining configurations, in lexicographic order.
+def _valid_depths(
+    tree: LogicalTree, max_receivers: int = _MAX_RECEIVERS, max_raw: int = _MAX_RAW
+) -> np.ndarray:
+    """Join depths of every valid map, a row per map by receiver index, in
+    the order of enumerate_valid_configs.
 
-    Order is by receiver index, then edge depth along the root path.  The
-    caps bound the raw product of path lengths, not the (smaller) valid
-    count; TooLarge asks the caller to decide, never silently truncates.
-    The maps grow as rows of join depths, a receiver at a time: depth x
-    for receiver k extends a row unless an earlier join and x both lie on
-    their pair's shared prefix (type 1) at different depths.  np.nonzero
-    lists the survivors row by row, depths ascending, keeping the order.
+    The maps grow a receiver at a time: depth x for receiver k extends a
+    row unless an earlier join and x both lie on their pair's shared
+    prefix (type 1) at different depths.  np.nonzero lists the survivors
+    row by row, depths ascending, keeping the order.
     """
     n = tree.n_receivers
     if n > max_receivers:
@@ -95,7 +90,20 @@ def enumerate_valid_configs(
             ok &= (_quartet(d, x, tree._lca_depth_at(j, k)) != 1) | (d == x)
         rows, cols = np.nonzero(ok)
         depths = np.column_stack((depths[rows], x[cols]))
-    return [JoiningConfig._of(tree, tree._nodes_at(row)) for row in depths.tolist()]
+    return depths
+
+
+def enumerate_valid_configs(
+    tree: LogicalTree, *, max_receivers: int = _MAX_RECEIVERS, max_raw: int = _MAX_RAW
+) -> list[JoiningConfig]:
+    """All valid joining configurations, in lexicographic order.
+
+    Order is by receiver index, then edge depth along the root path.  The
+    caps bound the raw product of path lengths, not the (smaller) valid
+    count; TooLarge asks the caller to decide, never silently truncates.
+    """
+    nodes = tree._nodes_at(_valid_depths(tree, max_receivers, max_raw))
+    return [JoiningConfig._of(tree, row) for row in nodes]
 
 
 def answer_set(gt: GroundTruth, pairs: list[Pair]) -> dict[Pair, QuartetType]:
@@ -103,73 +111,75 @@ def answer_set(gt: GroundTruth, pairs: list[Pair]) -> dict[Pair, QuartetType]:
     return {p: gt.quartet_type(*p) for p in pairs}
 
 
-def _answer_matrix(
-    tree: LogicalTree, configs: list[JoiningConfig], pairs: list[Pair]
-) -> np.ndarray:
-    """Quartet type value of every pair, as written, on every config."""
-    nodes = np.array([_join_nodes(tree, c) for c in configs], dtype=np.intp)
-    depths = np.asarray(tree._depth)[nodes.reshape(-1, tree.n_receivers)]
+def _answer_matrix(tree: LogicalTree, depths: np.ndarray, pairs: list[Pair]) -> np.ndarray:
+    """Quartet type value of every pair, as written, on every row of join
+    depths (a map by receiver index); one row gives one vector."""
     ij = [tree._pair_indices(a, b) for a, b in pairs]
     branch = np.array([tree._lca_depth_at(i, j) for i, j in ij], dtype=np.int64)
     i, j = np.array(ij, dtype=np.intp).reshape(-1, 2).T
-    return _quartet(depths[:, i], depths[:, j], branch).astype(np.int8)
+    return _quartet(depths[..., i], depths[..., j], branch).astype(np.int8)
 
 
-def _deduction_identified(gt: GroundTruth, pairs: list[Pair]) -> bool:
-    """Narrow GBS's intervals by the answers, with equalities folded in;
-    True if every join is pinned."""
-    tree = gt.tree
-    state = Intervals(tree, propagate_equalities=True)
-    for a, b in pairs:
-        i, j = tree._pair_indices(a, b)
-        state.narrow(i, j, gt._type_at(i, j))
-    return state.all_resolved()
+def _pins(tree: LogicalTree, config: JoiningConfig, pairs: list[Pair], mode: str):
+    """Predicate on index subsets of ``pairs``: do their answers pin
+    ``config`` under ``mode``?
+
+    Raises ValueError on an unknown mode, and MisplacedJoin or
+    InvalidConfiguration when ``config`` is not a valid joining
+    configuration of ``tree``.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    gt = GroundTruth(tree, config)  # raises on an invalid map
+    if mode == "deduction":
+        # GBS's intervals narrowed by the answers, equalities folded in
+        ij = [tree._pair_indices(a, b) for a, b in pairs]
+
+        def pinned(cols):
+            state = Intervals(tree, propagate_equalities=True)
+            for c in cols:
+                state.narrow(*ij[c], gt._type_at(*ij[c]))
+            return state.all_resolved()
+
+        return pinned
+    # no other valid map answers alike: config's own row is the one match
+    matrix = _answer_matrix(tree, _valid_depths(tree), pairs)
+    target = _answer_matrix(tree, np.asarray(gt._join_depth), pairs)
+    return lambda cols: int((matrix[:, cols] == target[cols]).all(axis=1).sum()) == 1
 
 
 def identifies(
-    tree: LogicalTree,
-    pairs: list[Pair],
-    config: JoiningConfig,
-    *,
-    configs: list[JoiningConfig] | None = None,
-    mode: str = "elimination",
+    tree: LogicalTree, pairs: list[Pair], config: JoiningConfig, *, mode: str = "elimination"
 ) -> bool:
     """True when the answers on ``pairs`` pin ``config`` uniquely.
 
     Raises MisplacedJoin or InvalidConfiguration when ``config`` is not a
     valid joining configuration of ``tree``.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    gt = GroundTruth(tree, config)  # raises on an invalid map
-    if mode == "deduction":
-        return _deduction_identified(gt, pairs)
-    target = _answer_matrix(tree, [config], pairs)
-    if configs is None:
-        configs = enumerate_valid_configs(tree)
-    others = _answer_matrix(tree, [c for c in configs if c != config], pairs)
-    return not (others == target).all(axis=1).any()
+    return _pins(tree, config, pairs, mode)(list(range(len(pairs))))
 
 
 def _subsets(m: int, max_subsets: int):
-    """Non-empty index subsets of range(m), breadth-first in size and in
-    combination order within a size.  Raises TooLarge when asked for one
-    more than ``max_subsets``.  The last subset of size k starts at m - k.
+    """Index subsets of range(m) as lists: the empty one, then breadth-first
+    in size and in combination order within a size.  Raises TooLarge when
+    asked for one more than ``max_subsets`` non-empty ones.  The last
+    subset of size k starts at m - k.
     """
+    yield []
     explored = 0
     for k in range(1, m + 1):
         for cols in combinations(range(m), k):
             explored += 1
             if explored > max_subsets:
                 raise TooLarge(f"subset search exceeded the cap {max_subsets}")
-            yield cols
+            yield list(cols)
 
 
 def min_identifying_set(
     tree: LogicalTree,
     config: JoiningConfig,
     *,
-    max_subsets: int = 5_000_000,
+    max_subsets: int = _MAX_SUBSETS,
     mode: str = "elimination",
 ) -> tuple[Pair, ...]:
     """Smallest pair subset whose answers pin ``config`` uniquely.
@@ -179,30 +189,12 @@ def min_identifying_set(
     MisplacedJoin or InvalidConfiguration when ``config`` is not a valid
     joining configuration of ``tree``.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    gt = GroundTruth(tree, config)  # raises on an invalid map
     pairs = all_pairs(tree)
-    if mode == "deduction":
-        if _deduction_identified(gt, []):
-            return ()
-        for cols in _subsets(len(pairs), max_subsets):
-            subset = tuple(pairs[c] for c in cols)
-            if _deduction_identified(gt, list(subset)):
-                return subset
-        raise StructuralViolation("the full pair set failed to pin the config")
-    configs = enumerate_valid_configs(tree)
-    if len(configs) == 1:
-        return ()
-    matrix = _answer_matrix(tree, configs, pairs)
-    row = configs.index(config)
-    target = matrix[row]
+    pinned = _pins(tree, config, pairs, mode)
     for cols in _subsets(len(pairs), max_subsets):
-        sel = list(cols)
-        hits = (matrix[:, sel] == target[sel]).all(axis=1)
-        if int(hits.sum()) == 1:
+        if pinned(cols):
             return tuple(pairs[c] for c in cols)
-    raise StructuralViolation("the full pair set failed to identify a valid config")
+    raise StructuralViolation("the full pair set failed to pin the config")
 
 
 def min_quartets(tree: LogicalTree, config: JoiningConfig, **caps) -> int:
@@ -211,39 +203,30 @@ def min_quartets(tree: LogicalTree, config: JoiningConfig, **caps) -> int:
 
 
 def min_quartets_all(
-    tree: LogicalTree, *, max_subsets: int = 5_000_000, mode: str = "elimination"
+    tree: LogicalTree, *, max_subsets: int = _MAX_SUBSETS, mode: str = "elimination"
 ) -> list[int]:
     """min_quartets for every valid configuration, in enumeration order.
 
     Under elimination each subset is evaluated against all configurations
     at once, which is far cheaper than per-configuration searches on the
-    same tree; deduction falls back to the per-configuration search.  The
-    search stops at the end of the first size level that leaves every
+    same tree; any other mode runs the per-configuration search.  The
+    batch stops at the end of the first size level that leaves every
     configuration identified.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    pairs = all_pairs(tree)
-    configs = enumerate_valid_configs(tree)
-    if mode == "deduction":
+    if mode != "elimination":
         return [
-            min_quartets(tree, c, max_subsets=max_subsets, mode="deduction")
-            for c in configs
+            min_quartets(tree, c, max_subsets=max_subsets, mode=mode)
+            for c in enumerate_valid_configs(tree)
         ]
-    if len(configs) == 1:
-        return [0]
-    matrix = _answer_matrix(tree, configs, pairs)
-    result = np.full(len(configs), -1, dtype=np.int64)
-    m = len(pairs)
+    matrix = _answer_matrix(tree, _valid_depths(tree), all_pairs(tree))
+    result = np.full(len(matrix), -1, dtype=np.int64)
+    m = matrix.shape[1]
     for cols in _subsets(m, max_subsets):
-        k = len(cols)
-        sub = matrix[:, list(cols)]
         _, inverse, counts = np.unique(
-            sub, axis=0, return_inverse=True, return_counts=True
+            matrix[:, cols], axis=0, return_inverse=True, return_counts=True
         )
-        unique_row = counts[inverse] == 1
-        result[unique_row & (result < 0)] = k
-        if cols[0] == m - k and not (result < 0).any():
+        result[(counts[inverse] == 1) & (result < 0)] = len(cols)
+        if (not cols or cols[0] == m - len(cols)) and (result >= 0).all():
             break
     if (result < 0).any():
         raise StructuralViolation("some valid configs were never identified")

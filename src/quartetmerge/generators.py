@@ -10,7 +10,6 @@ built tree equals the index order.
 from __future__ import annotations
 
 import random
-from array import array
 from itertools import count, islice
 
 from .errors import BadSpec
@@ -115,6 +114,8 @@ def make_tree(shape: str, size: int) -> LogicalTree:
     ``size`` is always the receiver count N; for the perfect families it
     must be an exact power of the arity.
     """
+    if not isinstance(size, int) or isinstance(size, bool):
+        raise BadSpec(f"size must be an int, got {size!r}")
     if shape == "star":
         return star(size)
     if shape == "tall_binary":
@@ -151,4 +152,5 @@ def random_config(tree: LogicalTree, seed: int) -> JoiningConfig:
             cd = blocked + 1 + pick
         chosen.append(cd)
         scan.place(r, cd)
+    del scan  # the scan's lists would otherwise set the peak under the lookup
     return JoiningConfig._of(tree, tree._nodes_at(chosen))

@@ -21,7 +21,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import islice
@@ -79,15 +79,16 @@ class JoiningConfig(Mapping):
         self._joins, self._tree, self._nodes = dict(joins), None, None
 
     @classmethod
-    def _of(cls, tree: LogicalTree, nodes: array) -> JoiningConfig:
+    def _of(cls, tree: LogicalTree, nodes) -> JoiningConfig:
+        # a view, never a copy: REA's Trace reads wt.edge live through it
         config = cls.__new__(cls)
-        config._joins, config._tree, config._nodes = None, tree, nodes
+        config._joins, config._tree, config._nodes = None, tree, np.asarray(nodes)
         return config
 
     @property
     def joins(self) -> Mapping[str, str]:
         if self._joins is None:
-            labels = map(self._tree._labels.__getitem__, self._nodes)
+            labels = map(self._tree._labels.__getitem__, self._nodes.tolist())
             self._joins = dict(zip(self._tree.receivers, labels))
         return self._joins
 
@@ -105,7 +106,7 @@ class JoiningConfig(Mapping):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, JoiningConfig) and other._tree is self._tree is not None:
-            return self._nodes == other._nodes
+            return np.array_equal(self._nodes, other._nodes)
         return super().__eq__(other)
 
     def __repr__(self) -> str:
@@ -344,27 +345,24 @@ class LogicalTree:
         out.reverse()
         return tuple(out)
 
-    def _nodes_at(self, depths: Sequence[int]) -> array:
-        """Node at depth ``depths[k]`` on receiver k's root path, for
-        every receiver k: the child end of the edge at that depth.
+    def _nodes_at(self, depths) -> np.ndarray:
+        """Node at depth ``depths[..., k]`` on receiver k's root path, for
+        every receiver k: the child end of the edge at that depth, as int32
+        in the shape of ``depths``, which may stack any number of maps.
 
-        Replays the preorder a leaf at a time: the ids after one leaf up
-        to the next, v at depth d, are a chain down from their branch
-        point, the one at depth x being v - d + x; one slice per leaf sets
-        that offset along the chain, and each leaf reads its node in O(1).
+        In preorder a leaf's ancestor at depth x is the last node at depth
+        x numbered at or before the leaf, so one binary search over the
+        nodes sorted by (depth, id), keyed depth * V + id, finds them all.
         """
-        depth, leaf = self._depth, self._leaf
-        path = [0] * max(depth)  # chain offset by depth - 1
-        out = array("i", [0]) * len(leaf)
-        prev = 0
-        for k in self._leaf_at:
-            v = leaf[k]
-            d = depth[v]
-            path[d - (v - prev) : d] = [v - d] * (v - prev)
-            x = depths[k]
-            out[k] = path[x - 1] + x
-            prev = v
-        return out
+        n = len(self._depth)
+        keys = np.asarray(self._depth, dtype=np.int64) * n
+        keys += np.arange(n)
+        keys.sort()
+        at = np.asarray(depths, dtype=np.int64) * n
+        at += np.asarray(self._leaf)
+        at = np.searchsorted(keys, at, side="right")
+        at -= 1
+        return (keys[at] % n).astype(np.int32)
 
     def _range_min(self, lo: int, hi: int) -> int:
         """Minimum adjacent-lca depth over planar positions lo..hi, inclusive."""
@@ -637,7 +635,7 @@ class _NearestBlockers:
 
 def _join_nodes(
     tree: LogicalTree, config: JoiningConfig | Mapping[str, str]
-) -> array:
+) -> np.ndarray:
     """Node id of every receiver's join, the child end of its edge, by
     receiver index.
 
@@ -647,13 +645,13 @@ def _join_nodes(
     for a join keyed by a name that is no receiver.
     """
     if isinstance(config, JoiningConfig) and config._tree is tree:
-        nodes, joins = config._nodes, None
+        v, joins = config._nodes, None
     else:
         # -1 stands for an unknown label, -2 for a missing join
         joins, by_label = config, tree._label_ids()
-        nodes = array("i", [by_label.get(joins[r], -1) if r in joins else -2
-                            for r in tree.receivers])
-    v, leaf = np.asarray(nodes), np.asarray(tree._leaf)
+        v = np.array([by_label.get(joins[r], -1) if r in joins else -2
+                      for r in tree.receivers])
+    leaf = np.asarray(tree._leaf)
     off_path = np.flatnonzero((v < 0) | (v > leaf) | (leaf >= np.asarray(tree._end)[v]))
     if off_path.size:
         k = off_path[0]
@@ -662,13 +660,13 @@ def _join_nodes(
             raise MisplacedJoin(f"no join assigned to receiver {r!r}")
         label = tree._labels[v[k]] if joins is None else joins[r]
         raise MisplacedJoin(f"join {label!r} is not on the root path of {r!r}")
-    if joins is not None and len(joins) != len(nodes):
+    if joins is not None and len(joins) != len(v):
         for r in joins:
             tree.receiver_index(r)
-    return nodes
+    return v
 
 
-def _nodes_valid(tree: LogicalTree, nodes: array) -> bool:
+def _nodes_valid(tree: LogicalTree, nodes: np.ndarray) -> bool:
     """The pairwise shared-prefix rule over join nodes by receiver index.
 
     Two distinct joins on a pair's shared prefix lie on one root path, so
@@ -678,11 +676,11 @@ def _nodes_valid(tree: LogicalTree, nodes: array) -> bool:
     shallower join depth.  Level k of a sparse table of join depths in
     planar order takes the spans of 2**k to 2**(k+1) - 1 leaves.
     """
-    v, planar = np.asarray(nodes), np.asarray(tree._leaf_at)
-    depth = np.asarray(tree._depth)[v]
+    planar = np.asarray(tree._leaf_at)
+    depth = np.asarray(tree._depth)[nodes]
     leaves = np.asarray(tree._leaf)[planar]  # ascending
-    lo = np.searchsorted(leaves, v)
-    hi = np.searchsorted(leaves, np.asarray(tree._end)[v])
+    lo = np.searchsorted(leaves, nodes)
+    hi = np.searchsorted(leaves, np.asarray(tree._end)[nodes])
     size = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo))
     run = depth[planar]
     for k in range(int(size.max()) + 1):
@@ -734,7 +732,7 @@ class GroundTruth:
         nodes = _join_nodes(self.tree, self.config)
         if not _nodes_valid(self.tree, nodes):
             raise InvalidConfiguration("configuration violates the pairwise rule")
-        depths = np.asarray(self.tree._depth)[np.asarray(nodes)]
+        depths = np.asarray(self.tree._depth)[nodes]
         object.__setattr__(self, "_join_depth", array("i", depths.tobytes()))
 
     def quartet_type(self, first: str, second: str) -> QuartetType:

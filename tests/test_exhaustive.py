@@ -121,7 +121,7 @@ class TestIdentifies:
         subsets = [list(s) for k in (1, 2) for s in itertools.combinations(pairs, k)]
         for cfg, joins in zip(configs, raw):
             for sub in subsets:
-                assert identifies(tree, sub, cfg, configs=configs) == (
+                assert identifies(tree, sub, cfg) == (
                     ref_identifies_elimination(tree, sub, joins, raw)
                 )
                 assert identifies(tree, sub, cfg, mode="deduction") == (
@@ -131,14 +131,17 @@ class TestIdentifies:
     def test_full_pair_set_identifies_everything(self):
         tree = make_tree("tall_binary", 4)
         pairs = all_pairs(tree)
-        configs = enumerate_valid_configs(tree)
-        for cfg in configs:
-            assert identifies(tree, pairs, cfg, configs=configs)
+        for cfg in enumerate_valid_configs(tree):
+            assert identifies(tree, pairs, cfg)
 
     def test_unknown_mode(self, three_fork_tree, three_fork_config):
         cfg = JoiningConfig(three_fork_config)
         with pytest.raises(ValueError):
             identifies(three_fork_tree, [], cfg, mode="guessing")
+        with pytest.raises(ValueError):
+            min_identifying_set(three_fork_tree, cfg, mode="guessing")
+        with pytest.raises(ValueError):
+            min_quartets_all(three_fork_tree, mode="guessing")
 
 
 class TestMinimums:
@@ -180,6 +183,14 @@ class TestMinimums:
         assert batch == [min_quartets(tree, c) for c in configs]
         assert min(batch) >= 1
         assert lower_bound(size) <= max(batch) <= size - 1
+
+    @pytest.mark.parametrize("shape", [None, "tall_binary"])
+    def test_deduction_batch_agrees_and_bounds_elimination(self, three_fork_tree, shape):
+        tree = three_fork_tree if shape is None else make_tree(shape, 4)
+        configs = enumerate_valid_configs(tree)
+        batch = min_quartets_all(tree, mode="deduction")
+        assert batch == [min_quartets(tree, c, mode="deduction") for c in configs]
+        assert all(d >= e for d, e in zip(batch, min_quartets_all(tree)))
 
     @pytest.mark.parametrize("shape, size", [("star", 4), ("tall_binary", 4)])
     def test_batch_cap_covers_whole_levels(self, shape, size):

@@ -101,6 +101,11 @@ def test_perfect_ternary_by_receiver_count():
         ("perfect_binary", 0),
         ("perfect_ternary", 4),
         ("mesh", 4),
+        ("star", 4.0),
+        ("tall_binary", 4.0),
+        ("perfect_binary", 4.0),
+        ("perfect_binary", True),
+        ("perfect_ternary", "9"),
     ],
 )
 def test_bad_specs(shape, size):

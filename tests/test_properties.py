@@ -30,7 +30,7 @@ from quartetmerge import (
     run_rea,
     serialize_topology,
 )
-from quartetmerge.exhaustive import _answer_matrix
+from quartetmerge.exhaustive import _answer_matrix, _valid_depths
 from quartetmerge.gbs import CandidateState, apply_update, select_quartet
 from quartetmerge.topology import PlacementScan
 from reference import (
@@ -414,11 +414,17 @@ def test_float64_quotients_order_like_fractions(q):
 @given(trees(max_receivers=10), st.data())
 @settings(deadline=None)
 def test_joins_at_reads_each_receivers_root_path(tree, data):
-    depths = [data.draw(st.integers(1, tree.node_depth(r))) for r in tree.receivers]
-    nodes = tree._nodes_at(depths)
-    assert len(nodes) == tree.n_receivers
-    for r, d, v in zip(tree.receivers, depths, nodes):
-        assert tree._labels[v] == ref_root_path(tree, r)[d - 1]
+    # one map of depths at a time, and a stack of them looked up at once
+    maps = [
+        [data.draw(st.integers(1, tree.node_depth(r))) for r in tree.receivers]
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    stacked = tree._nodes_at(np.array(maps))
+    assert stacked.shape == (len(maps), tree.n_receivers)
+    for depths, nodes in zip(maps, stacked.tolist()):
+        assert tree._nodes_at(depths).tolist() == nodes
+        for r, d, v in zip(tree.receivers, depths, nodes):
+            assert tree._labels[v] == ref_root_path(tree, r)[d - 1]
 
 
 @given(trees(max_receivers=10), st.data())
@@ -465,7 +471,7 @@ def test_answer_matrix_matches_the_reference_on_every_map(tree):
     # of every pair, as the definition does one quartet at a time
     pairs = list(itertools.permutations(tree.receivers, 2))
     configs = enumerate_valid_configs(tree)
-    matrix = _answer_matrix(tree, configs, pairs)
+    matrix = _answer_matrix(tree, _valid_depths(tree), pairs)
     for config, row in zip(configs, matrix.tolist()):
         joins = dict(config.joins)
         assert row == [ref_quartet_type(tree, joins, a, b) for a, b in pairs]
