@@ -148,7 +148,7 @@ def _cmd_bruteforce(args) -> int:
     config = None
     if args.file:
         tree, config = parse_topology_file(args.file)
-    elif args.shape and args.size:
+    elif args.shape is not None and args.size is not None:
         tree = make_tree(args.shape, args.size)
     else:
         print("error: give a topology file or both --shape and --size",

@@ -219,11 +219,14 @@ def min_quartets_all(
             for c in enumerate_valid_configs(tree)
         ]
     matrix = _answer_matrix(tree, _valid_depths(tree), all_pairs(tree))
-    result = np.full(len(matrix), -1, dtype=np.int64)
     m = matrix.shape[1]
+    # a map's answers on a subset as one int64, each answer - 1 the base-4
+    # digit at its pair's column: 28 pairs fit in 56 bits
+    digits = (matrix - 1).astype(np.int64) << (2 * np.arange(m, dtype=np.int64))
+    result = np.full(len(matrix), -1, dtype=np.int64)
     for cols in _subsets(m, max_subsets):
         _, inverse, counts = np.unique(
-            matrix[:, cols], axis=0, return_inverse=True, return_counts=True
+            digits[:, cols].sum(axis=1), return_inverse=True, return_counts=True
         )
         result[(counts[inverse] == 1) & (result < 0)] = len(cols)
         if (not cols or cols[0] == m - len(cols)) and (result >= 0).all():

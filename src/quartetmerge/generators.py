@@ -139,7 +139,8 @@ def random_config(tree: LogicalTree, seed: int) -> JoiningConfig:
     depth = tree._depth
     # When index order is the planar leaf order, the nearest-blocker stack
     # answers the same constraints as PlacementScan in amortized O(1) each,
-    # against O(log N) for the scan's segment-tree descents.
+    # against O(log N) per query and per newly marked node for the scan's
+    # marked-ancestor tree.
     scan = _NearestBlockers(tree) if tree._planar else PlacementScan(tree)
     chosen: list[int] = []
     for r, v in zip(tree.receivers, tree._leaf):

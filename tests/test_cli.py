@@ -112,6 +112,13 @@ def test_bruteforce_needs_an_instance(capsys):
     assert "topology file or both" in err
 
 
+def test_bruteforce_with_size_zero_reaches_the_shape_check(capsys):
+    # --size 0 is given, so the shape's own check rejects it
+    code, _, err = run_cli(capsys, "bruteforce", "--shape", "star", "--size", "0")
+    assert code == 1
+    assert "star needs at least 2 receivers" in err
+
+
 def test_multi_totals(capsys):
     code, out, _ = run_cli(
         capsys, "multi", "--shape", "perfect_binary", "--size", "8", "--sources", "3",

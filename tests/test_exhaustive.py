@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -204,6 +205,12 @@ class TestMinimums:
         assert min_quartets_all(tree, max_subsets=needed) == batch
         with pytest.raises(TooLarge):
             min_quartets_all(tree, max_subsets=needed - 1)
+
+    def test_batch_counts_are_frozen_on_tall_binary_6(self):
+        # frozen counts over 560 maps and 15 pairs: a change in how the
+        # batch keys the answers or where it stops shows here
+        counts = Counter(min_quartets_all(make_tree("tall_binary", 6)))
+        assert counts == {3: 56, 4: 288, 5: 216}
 
     def test_subset_cap(self, leaf_joins_anchor):
         tree, config = leaf_joins_anchor

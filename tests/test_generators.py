@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,7 +171,7 @@ def test_sampler_fast_path_matches_full_scan_on_random_trees(tree, seed):
 def test_sampling_cost_does_not_depend_on_receiver_order():
     # a ratio of two timings in one process holds across host speeds; a
     # scan that steps over placed receivers, as RefPlacementScan does,
-    # puts it near 60 on this pair, an O(log N) one near 4
+    # puts it near 60 on this pair, an O(log N) one at 4-4.7
     planar = tall_binary(40_000)
     receivers = list(planar.receivers)
     random.Random(0).shuffle(receivers)
@@ -185,3 +187,42 @@ def test_sampling_cost_does_not_depend_on_receiver_order():
 
     assert not shuffled._planar
     assert best_of_3(shuffled) / best_of_3(planar) <= 40
+
+
+def shuffled(tree: LogicalTree) -> LogicalTree:
+    """The same tree with its receivers listed in a seeded random order."""
+    receivers = list(tree.receivers)
+    random.Random(0).shuffle(receivers)
+    return LogicalTree(tree.root, tree.edges(), receivers)
+
+
+@pytest.mark.parametrize("shape", ["star", "tall_binary", "perfect_binary"])
+def test_non_planar_sampling_time_grows_near_linearly(shape):
+    # 4x the receivers costs 2.9-5.1x when each node is marked once at
+    # O(log N); a placement that walks its whole join-to-leaf path puts
+    # the caterpillar near 14.  CPU time, since wall time also counts
+    # other processes on a shared host
+    trees = {n: shuffled(make_tree(shape, n)) for n in (2**12, 2**14)}
+    best = dict.fromkeys(trees, float("inf"))
+    for _ in range(3):
+        for n, tree in trees.items():
+            start = time.process_time()
+            random_config(tree, 0)
+            best[n] = min(best[n], time.process_time() - start)
+    ratio = best[2**14] / best[2**12]
+    assert ratio <= 6, ratio
+
+
+def test_non_planar_sampling_peaks_at_most_64_bytes_per_receiver():
+    # one list slot per segment-tree node, and two int32 span bounds and
+    # a mark byte per tree node: 46 B per receiver here; a scan holding
+    # two segment trees of twice the next power of two reads 120
+    tree = shuffled(perfect_ternary(9))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        random_config(tree, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / tree.n_receivers <= 64, peak / tree.n_receivers
